@@ -27,6 +27,7 @@ from .rates import (
     fpr_hacked,
     fpr_regime,
     fpr_sound,
+    masses,
     power_at_new_cutoff,
     resolve_psi,
     rr_hacked,

@@ -127,12 +127,37 @@ def _load_replication(args) -> estimator.ReplicationData:
         return estimator.PSYCH_REP
     if not args.data:
         raise ModelError("supply --builtin psych-rep or --data FILE")
-    doc = json.loads(Path(args.data).read_text())
-    strata = tuple(
-        estimator.ReplicationStratum(s["p_low"], s["p_high"], s["total"], s["replicated"])
-        for s in doc.get("strata", [])
-    )
-    return estimator.ReplicationData(doc["total"], doc["replicated"], strata)
+    return _read_replication(Path(args.data))
+
+
+def _field(path: Path, record, where: str, key: str, kind):
+    """``record[key]`` from a ``--data`` file, checked for presence and type."""
+    if not isinstance(record, dict):
+        raise ModelError(f"{path}: {where} is not a JSON object")
+    if key not in record:
+        raise ModelError(f"{path}: missing key {key!r} in {where}")
+    value = record[key]
+    if isinstance(value, bool) or not isinstance(value, kind):
+        raise ModelError(f"{path}: key {key!r} in {where} has type {type(value).__name__}")
+    return value
+
+
+def _read_replication(path: Path) -> estimator.ReplicationData:
+    try:
+        doc = json.loads(path.read_text())
+    except OSError as exc:
+        raise ModelError(f"cannot read {path}: {exc.strerror or exc}")
+    except ValueError as exc:
+        raise ModelError(f"{path} is not valid JSON: {exc}")
+    total, replicated = (_field(path, doc, "top level", key, int) for key in ("total", "replicated"))
+    strata = []
+    if "strata" in doc:
+        for i, s in enumerate(_field(path, doc, "top level", "strata", list)):
+            where = f"strata[{i}]"
+            bounds = [_field(path, s, where, key, (int, float)) for key in ("p_low", "p_high")]
+            counts = [_field(path, s, where, key, int) for key in ("total", "replicated")]
+            strata.append(estimator.ReplicationStratum(*bounds, *counts))
+    return estimator.ReplicationData(total, replicated, tuple(strata))
 
 
 def cmd_fit(args) -> int:

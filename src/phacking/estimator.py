@@ -11,10 +11,9 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from scipy.optimize import bisect
-from scipy.stats import norm
 
 from .errors import DomainError, NoRootError, UnachievableError
-from .rates import TestDesign, normal_shift_delta, rr_hacked, rr_regime
+from .rates import TestDesign, masses, power_at_new_cutoff, rr_hacked, rr_regime
 
 __all__ = [
     "ReplicationStratum",
@@ -28,6 +27,7 @@ __all__ = [
     "PsiSolution",
 ]
 
+#: Bracket end and tolerance of the threshold-clustering bisection.
 _H_MAX = 1.0 - 1e-12
 _ROOT_XTOL = 1e-12
 
@@ -42,7 +42,7 @@ class ReplicationStratum:
     def __post_init__(self):
         if not 0.0 <= self.p_low < self.p_high:
             raise DomainError(f"bad P-value range ({self.p_low}, {self.p_high})")
-        if self.replicated < 0 or self.total < 0 or self.replicated > self.total:
+        if self.replicated < 0 or self.total <= 0 or self.replicated > self.total:
             raise DomainError(f"bad counts {self.replicated}/{self.total}")
 
     @property
@@ -100,60 +100,65 @@ class HackingEstimate:
 
 def fit_h(data: ReplicationData, design: TestDesign) -> float:
     """Hacking rate whose predicted replication rate matches the pooled
-    observed rate, by bisection on [0, 1).
+    observed rate, as the exact root of rr_hacked(design, h) = rate.
 
-    rr_hacked is strictly decreasing in h (when the design has positive
-    true-positive mass), so the root is unique.  Raises NoRootError when
-    the observed rate is 0 or at least the no-hacking prediction.
+    rr_hacked is linear-fractional and strictly decreasing in h (when the
+    design has positive true-positive mass), so the root is unique and
+    closed-form.  Raises NoRootError when the observed rate is 0 or at
+    least the no-hacking prediction.
     """
     return _solve_h_for_rate(data.rate, design)
 
 
 def _solve_h_for_rate(rate: float, design: TestDesign) -> float:
-    rr0 = rr_hacked(design, 0.0)
+    """rr_hacked = tp(1-h) / ((fp+tp)(1-h) + h) = rate cross-multiplies to
+    K(1-h) = rate*h with K = tp - rate*(fp+tp), so h = K / (K + rate),
+    which lies in (0, 1) exactly when rate > 0 and K > 0."""
+    fp, tp = masses(design)
     if rate <= 0.0:
         raise NoRootError(f"observed rate {rate} <= 0: no h in [0, 1) fits")
-    if rate >= rr0:
+    k = tp - rate * (fp + tp)
+    if k <= 0.0:
         raise NoRootError(
-            f"observed rate {rate} >= no-hacking prediction {rr0:.6g}: "
+            f"observed rate {rate} >= no-hacking prediction {tp / (fp + tp):.6g}: "
             "bracket [0, 1) contains no root"
         )
-
-    def f(h):
-        return rr_hacked(design, h) - rate
-
-    return float(bisect(f, 0.0, _H_MAX, xtol=_ROOT_XTOL))
+    return k / (k + rate)
 
 
-def _stratum_split(design: TestDesign) -> tuple[float, float]:
-    """Fraction of significant sound P-values falling below 0.005 under
-    the 0.05 regime, for (false nulls, true nulls).
+def _stratum_split(design: TestDesign, stratum: ReplicationStratum) -> tuple[float, float]:
+    """(true-positive, false-positive) mass of the significant sound
+    P-values that fall in the stratum, with no hacking.
 
-    True-null sound P-values are uniform; false-null sound P-values
-    follow the one-sided normal shift calibrated to the design's power.
+    Only the part of the stratum below the cutoff counts.  True-null
+    sound P-values are uniform on [0, alpha]; false-null sound P-values
+    follow the one-sided normal shift calibrated to the design's power,
+    whose CDF is 0 at 0 and the power at alpha.
     """
-    delta = normal_shift_delta(design.power, design.alpha)
-    sub = float(norm.cdf(delta - norm.ppf(1.0 - 0.005)))
-    return sub / design.power, 0.005 / design.alpha
+    a, power = design.alpha, design.power
+
+    def cdf(x):
+        if x == 0.0:
+            return 0.0
+        if x == a:
+            return power
+        return power_at_new_cutoff(power, a, x)
+
+    lo, hi = min(stratum.p_low, a), min(stratum.p_high, a)
+    return (1.0 - design.phi) * (cdf(hi) - cdf(lo)), design.phi * (hi - lo)
 
 
 def _clustered_stratum_rate(design: TestDesign, stratum: ReplicationStratum, h: float) -> float:
     """Predicted replication rate inside one stratum when all hacked
-    P-values cluster just below the operative threshold (i.e. land in
-    the upper stratum)."""
-    tp_frac, fp_frac = _stratum_split(design)
-    upper = stratum.p_high >= design.alpha
-    if upper:
-        tp_frac, fp_frac = 1.0 - tp_frac, 1.0 - fp_frac
-    a, b, p = design.alpha, design.beta, design.phi
+    P-values cluster just below the operative threshold, i.e. land in
+    the stratum with p_low < alpha <= p_high."""
+    tp, fp = _stratum_split(design, stratum)
     sound = 1.0 - h
-    tp = (1.0 - b) * (1.0 - p) * sound * tp_frac
-    fp = a * p * sound * fp_frac
-    hacked = h if upper else 0.0
-    den = tp + fp + hacked
+    hacked = h if stratum.p_low < design.alpha <= stratum.p_high else 0.0
+    den = (tp + fp) * sound + hacked
     if den == 0.0:
         raise NoRootError("empty stratum prediction")
-    return tp / den
+    return tp * sound / den
 
 
 def fit_h_stratified(
@@ -173,9 +178,11 @@ def fit_h_stratified(
     * ``threshold_clustering``: hacked P-values are assigned entirely to
       the stratum just below the baseline cutoff; sound P-values split
       between strata by the uniform law (true nulls) and the normal-shift
-      law (false nulls).  Under this model the lower stratum's predicted
-      rate does not depend on h, so that stratum usually yields no root
-      (flagged in residuals).
+      law (false nulls), each over the stratum's own bounds clipped at
+      the cutoff.  Under this model a stratum below the cutoff has a
+      predicted rate that does not depend on h, and a stratum wholly at
+      or above it predicts nothing, so neither yields a root (flagged in
+      residuals, with ``fitted`` None for the empty stratum).
     """
     if not data.strata:
         raise DomainError("stratified fit requires strata")
@@ -207,9 +214,8 @@ def fit_h_stratified(
         residuals.append(rec)
     if not roots:
         raise NoRootError("no stratum admitted a root")
-    lo = min(max(r, 0.0) for r in roots)
-    hi = max(min(r, _H_MAX) for r in roots)
-    return HackingEstimate(point=point, range_low=lo, range_high=hi, residuals=tuple(residuals))
+    return HackingEstimate(point=point, range_low=min(roots), range_high=max(roots),
+                           residuals=tuple(residuals))
 
 
 def _solve_h_clustered(design: TestDesign, stratum: ReplicationStratum) -> float:
@@ -231,7 +237,10 @@ def _solve_h_clustered(design: TestDesign, stratum: ReplicationStratum) -> float
 def _nearest_attainable(model, design, stratum):
     if model == "per_stratum_rate":
         return rr_hacked(design, 0.0)
-    return _clustered_stratum_rate(design, stratum, 0.0)
+    try:
+        return _clustered_stratum_rate(design, stratum, 0.0)
+    except NoRootError:
+        return None
 
 
 def rr_ratio(design_new: TestDesign, design_old: TestDesign, h: float, psi: float) -> float:
@@ -258,10 +267,11 @@ def solve_psi_for_rr_ratio(
     """Persistence at which the replication-rate ratio equals
     ``target_ratio``.
 
-    The ratio is strictly decreasing in psi (for h > 0), so bisection on
-    [0, 1] suffices.  When the target lies outside the attainable range
-    the nearest boundary is returned with ``achievable=False``; with
-    ``strict=True`` an UnachievableError is raised instead.
+    The ratio is linear-fractional and strictly decreasing in psi (for
+    h > 0), so the root is unique and closed-form.  When the target lies
+    outside the attainable range the nearest boundary is returned with
+    ``achievable=False``; with ``strict=True`` an UnachievableError is
+    raised instead.
     """
     if target_ratio <= 0.0:
         raise DomainError(f"target_ratio={target_ratio} must be positive")
@@ -282,4 +292,7 @@ def solve_psi_for_rr_ratio(
                 f"ratio {target_ratio} unattainable; nearest boundary psi={boundary}"
             )
         return PsiSolution(boundary, False)
-    return PsiSolution(float(bisect(gap, 0.0, 1.0, xtol=_ROOT_XTOL)), True)
+    # rr_regime = tp / (c + h*psi + tp) = target * rr_old, solved for psi
+    c, tp = masses(design_new, h, 0.0)
+    psi = (tp / (target_ratio * rr_hacked(design_old, h)) - (c + tp)) / h
+    return PsiSolution(min(max(psi, 0.0), 1.0), True)

@@ -45,6 +45,8 @@ class SimConfig:
     def __post_init__(self):
         if self.n_tests < 1:
             raise DegenerateConfigError("n_tests must be >= 1")
+        if self.seed < 0:
+            raise DegenerateConfigError(f"seed={self.seed} must be >= 0")
         if not (0.0 < self.cutoff <= self.hacking.baseline_alpha):
             raise DegenerateConfigError(
                 f"cutoff={self.cutoff} must lie in (0, baseline_alpha={self.hacking.baseline_alpha}]"

@@ -29,6 +29,7 @@ __all__ = [
     "HackingRegime",
     "OutcomeTable",
     "Rates",
+    "masses",
     "fpr_sound",
     "rr_sound",
     "table_sound",
@@ -236,50 +237,51 @@ class Rates:
             raise DomainError(f"fpr + rr = {self.fpr + self.rr} != 1")
 
 
+def masses(design: TestDesign, h: float = 0.0, psi: float = 1.0) -> tuple[float, float]:
+    """False-positive and true-positive masses of the significant results
+    at the operative cutoff ``design.alpha``:
+
+        fp = alpha*phi*(1-h) + h*psi,   tp = (1-beta)*(1-phi)*(1-h).
+
+    Every FPR is fp / (fp + tp) and every RR is tp / (fp + tp); h = 0
+    gives the no-hacking masses and psi = 1 the baseline-cutoff ones.
+    """
+    _check_prob("h", h, open_hi=True)
+    _check_prob("psi", psi)
+    sound = 1.0 - h
+    fp = design.alpha * design.phi * sound + h * psi
+    tp = (1.0 - design.beta) * (1.0 - design.phi) * sound
+    if fp + tp == 0.0:
+        raise DegenerateDesignError("no rejections occur (zero denominator)")
+    return fp, tp
+
+
 def fpr_sound(design: TestDesign) -> float:
     """False positive rate with no P-hacking:
     alpha*phi / (alpha*phi + (1-beta)*(1-phi))."""
-    a, b, p = design.alpha, design.beta, design.phi
-    num = a * p
-    den = num + (1.0 - b) * (1.0 - p)
-    if den == 0.0:
-        raise DegenerateDesignError("no rejections occur (zero denominator)")
-    return num / den
+    fp, tp = masses(design)
+    return fp / (fp + tp)
 
 
 def rr_sound(design: TestDesign) -> float:
     """Replication rate with no P-hacking; complementary to fpr_sound
     under perfect reproducibility."""
-    a, b, p = design.alpha, design.beta, design.phi
-    tp = (1.0 - b) * (1.0 - p)
-    den = a * p + tp
-    if den == 0.0:
-        raise DegenerateDesignError("no rejections occur (zero denominator)")
-    return tp / den
+    fp, tp = masses(design)
+    return tp / (fp + tp)
 
 
 def fpr_hacked(design: TestDesign, h: float) -> float:
     """False positive rate when a proportion h of all P-values is hacked
     and every hacked P-value is significant at ``design.alpha``."""
-    _check_prob("h", h, open_hi=True)
-    a, b, p = design.alpha, design.beta, design.phi
-    num = a * p * (1.0 - h) + h
-    den = num + (1.0 - b) * (1.0 - p) * (1.0 - h)
-    if den == 0.0:
-        raise DegenerateDesignError("no rejections occur (zero denominator)")
-    return num / den
+    fp, tp = masses(design, h)
+    return fp / (fp + tp)
 
 
 def rr_hacked(design: TestDesign, h: float) -> float:
-    """Replication rate under hacking, from its own closed form
-    (true-positive mass over total significant mass)."""
-    _check_prob("h", h, open_hi=True)
-    a, b, p = design.alpha, design.beta, design.phi
-    tp = (1.0 - b) * (1.0 - p) * (1.0 - h)
-    den = a * p * (1.0 - h) + tp + h
-    if den == 0.0:
-        raise DegenerateDesignError("no rejections occur (zero denominator)")
-    return tp / den
+    """Replication rate under hacking (true-positive mass over total
+    significant mass); equals rr_regime(design, h, 1.0) exactly."""
+    fp, tp = masses(design, h)
+    return tp / (fp + tp)
 
 
 def fpr_regime(design_new: TestDesign, h: float, psi: float) -> float:
@@ -290,26 +292,14 @@ def fpr_regime(design_new: TestDesign, h: float, psi: float) -> float:
     P-values at the new cutoff.  With psi = 1 this equals fpr_hacked
     evaluated at the new cutoff.
     """
-    _check_prob("h", h, open_hi=True)
-    _check_prob("psi", psi)
-    a, b, p = design_new.alpha, design_new.beta, design_new.phi
-    num = a * p * (1.0 - h) + h * psi
-    den = num + (1.0 - b) * (1.0 - p) * (1.0 - h)
-    if den == 0.0:
-        raise DegenerateDesignError("no rejections occur (zero denominator)")
-    return num / den
+    fp, tp = masses(design_new, h, psi)
+    return fp / (fp + tp)
 
 
 def rr_regime(design_new: TestDesign, h: float, psi: float) -> float:
     """Replication rate at a lowered cutoff; complementary to fpr_regime."""
-    _check_prob("h", h, open_hi=True)
-    _check_prob("psi", psi)
-    a, b, p = design_new.alpha, design_new.beta, design_new.phi
-    tp = (1.0 - b) * (1.0 - p) * (1.0 - h)
-    den = a * p * (1.0 - h) + h * psi + tp
-    if den == 0.0:
-        raise DegenerateDesignError("no rejections occur (zero denominator)")
-    return tp / den
+    fp, tp = masses(design_new, h, psi)
+    return tp / (fp + tp)
 
 
 def fpr_bound(design_new: TestDesign, h: float, pi: float) -> float:
@@ -357,11 +347,9 @@ def power_at_new_cutoff(power_at_alpha: float, alpha: float, new_alpha: float) -
     rejection probability of the same test at ``new_alpha``.  This is a
     convenience mapping, never applied implicitly by the rate formulas.
     """
-    if not (0.0 < power_at_alpha < 1.0):
-        raise DomainError(f"power_at_alpha={power_at_alpha} outside (0, 1)")
     if not (0.0 < new_alpha <= alpha < 1.0):
         raise DomainError(f"need 0 < new_alpha <= alpha < 1, got {new_alpha}, {alpha}")
-    delta = norm.ppf(power_at_alpha) + norm.ppf(1.0 - alpha)
+    delta = normal_shift_delta(power_at_alpha, alpha)
     return float(norm.cdf(delta - norm.ppf(1.0 - new_alpha)))
 
 

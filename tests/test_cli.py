@@ -98,6 +98,34 @@ class TestFit:
         code, _, _ = run(capsys, "fit")
         assert code == 3
 
+    def test_zero_total_stratum_exit_3(self, capsys, tmp_path):
+        doc = {
+            "total": 50, "replicated": 20,
+            "strata": [
+                {"p_low": 0.0, "p_high": 0.005, "total": 0, "replicated": 0},
+                {"p_low": 0.005, "p_high": 0.05, "total": 50, "replicated": 20},
+            ],
+        }
+        path = tmp_path / "zero.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "fit", "--data", str(path), "--stratified")
+        assert code == 3
+        assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("content, named", [
+        (None, "data.json"),
+        ('{"total": 97, "replicated": 36', "data.json"),
+        ('{"total": 97}', "'replicated'"),
+        ('{"total": "97", "replicated": 36}', "'total'"),
+    ], ids=["missing-file", "invalid-json", "missing-key", "wrong-type"])
+    def test_bad_data_file_exit_3(self, capsys, tmp_path, content, named):
+        path = tmp_path / "data.json"
+        if content is not None:
+            path.write_text(content)
+        code, _, err = run(capsys, "fit", "--data", str(path))
+        assert code == 3
+        assert err.startswith("error:") and named in err
+
 
 class TestSweep:
     def test_figure1(self, capsys, tmp_path):
@@ -150,6 +178,11 @@ class TestSimulate:
     def test_bad_config_exit_3(self, capsys):
         code, _, _ = run(capsys, "simulate", "--n", "100", "--cutoff", "0.5")
         assert code == 3
+
+    def test_negative_seed_exit_3(self, capsys):
+        code, _, err = run(capsys, "simulate", "--n", "1000", "--seed", "-1")
+        assert code == 3
+        assert err.startswith("error:") and "Traceback" not in err
 
 
 class TestReproduce:

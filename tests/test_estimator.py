@@ -66,6 +66,8 @@ class TestFitH:
             ReplicationData(total=5, replicated=6)
         with pytest.raises(DomainError):
             ReplicationStratum(0.05, 0.005, 10, 5)
+        with pytest.raises(DomainError):
+            ReplicationStratum(0.0, 0.005, 0, 0)
 
 
 class TestFitHStratified:
@@ -116,6 +118,40 @@ class TestFitHStratified:
         assert not upper["no_root"]
         assert upper["root"] == pytest.approx(0.053, abs=2e-3)
 
+    @pytest.mark.parametrize("strata, root", [
+        (((0.0, 0.01, 60, 30), (0.01, 0.05, 40, 10)), 0.0273381),
+        (((0.0, 0.02, 70, 40), (0.02, 0.05, 40, 8)), 0.0205182),
+    ], ids=["split-0.01", "split-0.02"])
+    def test_threshold_clustering_split_from_stratum_bounds(self, strata, root):
+        data = ReplicationData(
+            total=sum(s[2] for s in strata),
+            replicated=sum(s[3] for s in strata),
+            strata=tuple(ReplicationStratum(*s) for s in strata),
+        )
+        est = fit_h_stratified(data, OLD, model="threshold_clustering")
+        lower, upper = est.residuals
+        assert lower["no_root"]
+        assert upper["root"] == pytest.approx(root, abs=5e-7)
+        assert est.range_low == est.range_high == upper["root"]
+
+    def test_threshold_clustering_stratum_above_cutoff(self):
+        # psych-rep at alpha 0.01: the upper stratum reaches past the
+        # cutoff and still holds the hacked P-values
+        est = fit_h_stratified(PSYCH_REP, OLD.with_alpha(0.01), model="threshold_clustering")
+        assert not est.residuals[1]["no_root"]
+        data = ReplicationData(
+            total=97,
+            replicated=36,
+            strata=(
+                ReplicationStratum(0.0, 0.05, 47, 24),
+                ReplicationStratum(0.05, 0.1, 50, 12),
+            ),
+        )
+        est = fit_h_stratified(data, OLD, model="threshold_clustering")
+        above = est.residuals[1]
+        assert above["no_root"] and above["fitted"] is None
+        assert not est.residuals[0]["no_root"]
+
     def test_requires_strata(self):
         with pytest.raises(DomainError):
             fit_h_stratified(ReplicationData(total=10, replicated=4), OLD)
@@ -123,6 +159,16 @@ class TestFitHStratified:
     def test_unknown_model(self):
         with pytest.raises(DomainError):
             fit_h_stratified(PSYCH_REP, OLD, model="nope")
+
+
+def test_identity_regime_over_random_designs():
+    rng = np.random.default_rng(13)
+    for _ in range(2000):
+        design = TestDesign(rng.uniform(1e-3, 0.5), rng.uniform(0.0, 0.9), rng.uniform(0.05, 0.95))
+        h = rng.uniform(1e-3, 0.9)
+        assert rr_regime(design, h, 1.0) == rr_hacked(design, h)
+        assert rr_ratio(design, design, h, 1.0) == 1.0
+        assert solve_psi_for_rr_ratio(1.0, design, design, h) == (1.0, True)
 
 
 class TestRRRatio:

@@ -90,6 +90,8 @@ class TestSimulate:
             config(n=0)
         with pytest.raises(DegenerateConfigError):
             config(cutoff=0.06)
+        with pytest.raises(DegenerateConfigError):
+            config(seed=-1)
 
 
 class TestCrosscheck:

@@ -18,6 +18,7 @@ from phacking import (
     fpr_hacked,
     fpr_regime,
     fpr_sound,
+    masses,
     power_at_new_cutoff,
     resolve_psi,
     rr_hacked,
@@ -156,6 +157,18 @@ class TestRegimeRates:
                 assert fpr_regime(design, h, 1.0) == pytest.approx(
                     fpr_hacked(design, h), abs=1e-15
                 )
+
+    def test_every_rate_is_a_view_of_the_masses(self):
+        rng = np.random.default_rng(6)
+        for design in random_designs(200, seed=6):
+            h, psi = rng.uniform(0.0, 0.95), rng.uniform(0.0, 1.0)
+            fp, tp = masses(design, h, psi)
+            assert fpr_regime(design, h, psi) == fp / (fp + tp)
+            assert rr_regime(design, h, psi) == tp / (fp + tp)
+            assert rr_regime(design, h, 1.0) == rr_hacked(design, h)
+            assert fpr_regime(design, h, 1.0) == fpr_hacked(design, h)
+            assert rr_regime(design, 0.0, 1.0) == rr_sound(design)
+            assert fpr_regime(design, 0.0, 1.0) == fpr_sound(design)
 
     def test_h_zero_ignores_psi(self):
         assert rr_regime(NEW, 0.0, 0.123) == pytest.approx(rr_sound(NEW), abs=1e-15)
