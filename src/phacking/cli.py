@@ -84,7 +84,18 @@ def _regime_from(args) -> rates.HackingRegime:
 def _out_dir(args) -> Path:
     out = args.out or os.environ.get("PHACKING_OUT_DIR") or "."
     path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ModelError(f"cannot write {path}: {exc.strerror or exc}")
+    return path
+
+
+def _write(path: Path, text: str) -> Path:
+    try:
+        path.write_text(text)
+    except OSError as exc:
+        raise ModelError(f"cannot write {path}: {exc.strerror or exc}")
     return path
 
 
@@ -201,13 +212,9 @@ def _figure_results(figure: int, h: float | None):
 def _write_results(results, out: Path, want_svg: bool) -> list[Path]:
     written = []
     for result in results:
-        csv_path = out / f"{result.figure_id}.csv"
-        csv_path.write_text(sweeps.render_csv(result))
-        written.append(csv_path)
+        written.append(_write(out / f"{result.figure_id}.csv", sweeps.render_csv(result)))
         if want_svg:
-            svg_path = out / f"{result.figure_id}.svg"
-            svg_path.write_text(sweeps.render_svg(result))
-            written.append(svg_path)
+            written.append(_write(out / f"{result.figure_id}.svg", sweeps.render_svg(result)))
     return written
 
 

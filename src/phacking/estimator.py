@@ -10,8 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from scipy.optimize import bisect
-
 from .errors import DomainError, NoRootError, UnachievableError
 from .rates import TestDesign, masses, power_at_new_cutoff, rr_hacked, rr_regime
 
@@ -219,6 +217,8 @@ def fit_h_stratified(
 
 
 def _solve_h_clustered(design: TestDesign, stratum: ReplicationStratum) -> float:
+    from scipy.optimize import bisect
+
     rate = stratum.rate
 
     def f(h):

@@ -20,11 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-from scipy.stats import norm
-
 from .errors import DegenerateConfigError
-from .rates import HackingRegime, TestDesign, fpr_regime, normal_shift_delta, resolve_psi, rr_regime
+from .rates import HackingRegime, TestDesign, _norm, fpr_regime, normal_shift_delta, resolve_psi, rr_regime
 
 __all__ = ["SimConfig", "SimOutcome", "CheckRow", "CrosscheckReport", "simulate", "crosscheck"]
 
@@ -97,6 +94,8 @@ class SimOutcome:
 
 def simulate(config: SimConfig) -> SimOutcome:
     """Run the simulation; deterministic for a fixed config."""
+    import numpy as np
+
     n = config.n_tests
     design = config.design
     h = config.hacking.h
@@ -124,7 +123,7 @@ def simulate(config: SimConfig) -> SimOutcome:
         pvals[h0_false] = 0.0 if design.beta == 0.0 else 1.0
     else:
         delta = normal_shift_delta(1.0 - design.beta, cutoff)
-        pvals[h0_false] = norm.sf(z_alt[h0_false] + delta)
+        pvals[h0_false] = _norm().sf(z_alt[h0_false] + delta)
     sig_sound = sound & (pvals < cutoff)
     sig_hacked = hacked & (u_hacksig < psi)
 

@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from scipy.stats import norm
-
 from .errors import CutoffAboveBaselineError, DegenerateDesignError, DomainError
 
 __all__ = [
@@ -350,6 +348,7 @@ def power_at_new_cutoff(power_at_alpha: float, alpha: float, new_alpha: float) -
     if not (0.0 < new_alpha <= alpha < 1.0):
         raise DomainError(f"need 0 < new_alpha <= alpha < 1, got {new_alpha}, {alpha}")
     delta = normal_shift_delta(power_at_alpha, alpha)
+    norm = _norm()
     return float(norm.cdf(delta - norm.ppf(1.0 - new_alpha)))
 
 
@@ -357,4 +356,13 @@ def normal_shift_delta(power: float, alpha: float) -> float:
     """Effect size of the one-sided z-test with the given power at alpha."""
     if not (0.0 < power < 1.0) or not (0.0 < alpha < 1.0):
         raise DomainError("power and alpha must lie in (0, 1)")
+    norm = _norm()
     return float(norm.ppf(power) + norm.ppf(1.0 - alpha))
+
+
+def _norm():
+    """``scipy.stats.norm``, imported on first use: scipy.stats alone costs
+    about a second and 90 MB, and only the normal-shift functions need it."""
+    from scipy.stats import norm
+
+    return norm

@@ -203,3 +203,17 @@ class TestReproduce:
         code, _, _ = run(capsys, "reproduce")
         assert code == 0
         assert (tmp_path / "envout" / "figure1.csv").exists()
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("command, out", [
+        (["sweep", "--figure", "1"], "file/sub"),
+        (["reproduce"], "file"),
+        (["sweep", "--figure", "1"], "dir"),
+    ], ids=["sweep-under-file", "reproduce-onto-file", "csv-is-directory"])
+    def test_exit_3(self, capsys, tmp_path, command, out):
+        (tmp_path / "file").write_text("")
+        (tmp_path / "dir" / "figure1.csv").mkdir(parents=True)
+        code, _, err = run(capsys, *command, "--out", str(tmp_path / out))
+        assert code == 3
+        assert err.startswith("error: cannot write") and "Traceback" not in err
