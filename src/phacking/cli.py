@@ -2,8 +2,9 @@
 
 Subcommands: ``rates``, ``fit``, ``sweep``, ``simulate``, ``reproduce``.
 Exit codes: 0 success, 1 reproduction failure, 2 usage error, 3
-domain/math error.  The ``PHACKING_OUT_DIR`` environment variable sets
-the default output directory for file-writing subcommands.
+domain/math error or an output path that cannot be written.  The
+``PHACKING_OUT_DIR`` environment variable sets the default output
+directory for file-writing subcommands.
 """
 
 from __future__ import annotations

@@ -361,8 +361,9 @@ def normal_shift_delta(power: float, alpha: float) -> float:
 
 
 def _norm():
-    """``scipy.stats.norm``, imported on first use: scipy.stats alone costs
-    about a second and 90 MB, and only the normal-shift functions need it."""
+    """``scipy.stats.norm``, imported on first use: importing scipy.stats
+    takes most of the package's start-up time and memory, and only the
+    normal-shift functions and ``mc.simulate`` need it."""
     from scipy.stats import norm
 
     return norm
