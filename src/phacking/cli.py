@@ -5,6 +5,11 @@ Exit codes: 0 success, 1 reproduction failure, 2 usage error, 3
 domain/math error or an output path that cannot be written.  The
 ``PHACKING_OUT_DIR`` environment variable sets the default output
 directory for file-writing subcommands.
+
+``--pi`` is read as its conservative bound psi = pi, so ``--pi X`` and
+``--psi X`` resolve to the same persistence.  ``sweep --h`` applies
+only to the figures that take a hacking rate in ``sweeps.FIGURES``.
+``reproduce`` writes every figure and checks each entry of ``CLAIMS``.
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import estimator, mc, rates, sweeps
 from .errors import ModelError
@@ -23,16 +29,6 @@ EXIT_OK = 0
 EXIT_REPRODUCE_FAIL = 1
 EXIT_USAGE = 2
 EXIT_DOMAIN = 3
-
-_PAPER_FIG1 = {
-    (0.05, 0.0): 0.38,
-    (0.005, 0.0): 0.06,
-    (0.05, 0.05): 0.57,
-    (0.005, 0.05): 0.44,
-    (0.05, 0.15): 0.75,
-    (0.005, 0.15): 0.71,
-}
-
 
 def _parse_prior_odds(text: str) -> float:
     """``A:B`` odds in favor of H1 -> phi = B / (A + B)."""
@@ -80,6 +76,13 @@ def _regime_from(args) -> rates.HackingRegime:
     else:
         spec = rates.DirectPsi(args.psi if args.psi is not None else 1.0)
     return rates.HackingRegime(h=args.h, baseline_alpha=args.baseline_alpha, psi_spec=spec)
+
+
+def _figure_id(text: str) -> int:
+    figure = int(text) if text.strip().isdigit() else None
+    if figure not in sweeps.FIGURES:
+        raise argparse.ArgumentTypeError(f"unknown figure id {text}")
+    return figure
 
 
 def _out_dir(args) -> Path:
@@ -134,8 +137,6 @@ def cmd_rates(args) -> int:
 
 def _load_replication(args) -> estimator.ReplicationData:
     if args.builtin:
-        if args.builtin != "psych-rep":
-            raise ModelError(f"unknown builtin dataset {args.builtin!r}")
         return estimator.PSYCH_REP
     if not args.data:
         raise ModelError("supply --builtin psych-rep or --data FILE")
@@ -173,6 +174,10 @@ def _read_replication(path: Path) -> estimator.ReplicationData:
 
 
 def cmd_fit(args) -> int:
+    if args.model and not args.stratified:
+        print("error: --model applies only with --stratified", file=sys.stderr)
+        return EXIT_USAGE
+    model = args.model or "per_stratum_rate"
     data = _load_replication(args)
     design = _design_from(args)
     record = {
@@ -180,34 +185,18 @@ def cmd_fit(args) -> int:
         "observed_rate": data.rate,
     }
     if args.stratified:
-        est = estimator.fit_h_stratified(data, design, model=args.model)
+        est = estimator.fit_h_stratified(data, design, model=model)
         record.update({
             "point": est.point,
             "range_low": est.range_low,
             "range_high": est.range_high,
             "residuals": list(est.residuals),
-            "model": args.model,
+            "model": model,
         })
     else:
         record["point"] = estimator.fit_h(data, design)
     _emit(record)
     return EXIT_OK
-
-
-def _figure_results(figure: int, h: float | None):
-    if figure == 1:
-        return [sweeps.sweep_figure1()]
-    if figure == 2:
-        return [sweeps.sweep_figure2()]
-    if figure == 3:
-        hs = [h] if h is not None else [0.05, 0.15]
-        return [sweeps.sweep_figure3(hh) for hh in hs]
-    if figure == 4:
-        return [sweeps.sweep_figure4()]
-    if figure == 5:
-        hs = [h] if h is not None else [0.05, 0.15]
-        return [sweeps.sweep_figure5(hh) for hh in hs]
-    raise ValueError(figure)
 
 
 def _write_results(results, out: Path, want_svg: bool) -> list[Path]:
@@ -220,10 +209,7 @@ def _write_results(results, out: Path, want_svg: bool) -> list[Path]:
 
 
 def cmd_sweep(args) -> int:
-    if args.figure not in (1, 2, 3, 4, 5):
-        print(f"error: unknown figure id {args.figure}", file=sys.stderr)
-        return EXIT_USAGE
-    results = _figure_results(args.figure, args.h)
+    results = sweeps.figure_results(args.figure, args.h)
     written = _write_results(results, _out_dir(args), args.svg)
     for path in written:
         print(path)
@@ -258,76 +244,92 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-def _reproduction_claims(strict: bool):
-    """(label, computed, expected, tol, level) tuples; level is CHECK or
-    INFO.  INFO entries document gaps between derived values and numbers
-    the source read off its own figures; strict mode promotes them."""
-    phi = 10.0 / 11.0
-    old = rates.TestDesign(0.05, 0.20, phi)
-    claims = []
+class Claim(NamedTuple):
+    """One headline number: ``compute()`` must lie within ``tol`` of
+    ``want``.  ``info`` marks a documented gap between a derived value
+    and a number the source read off its own figures; it is reported as
+    INFO and fails only under ``reproduce --strict``."""
 
-    for (alpha, h), paper in _PAPER_FIG1.items():
-        design = rates.TestDesign(alpha, 0.20, phi)
-        claims.append((f"fpr(alpha={alpha}, h={h}, power=0.80, psi=1)",
-                       rates.fpr_hacked(design, h), paper, 0.005, "CHECK"))
+    label: str
+    compute: Callable[[], float]
+    want: float
+    tol: float
+    info: bool = False
 
-    claims.append(("rr_sound(0.05, power=0.80, odds 1:10)",
-                   rates.rr_sound(old), 0.615, 0.005, "CHECK"))
-    claims.append(("psych-rep observed rate 36/97",
-                   estimator.PSYCH_REP.rate, 36.0 / 97.0, 0.0, "CHECK"))
 
-    h_fit = estimator.fit_h(estimator.PSYCH_REP, old)
-    claims.append(("fit_h(36/97) within [0.070, 0.080]",
-                   h_fit, 0.075, 0.005, "CHECK"))
-    claims.append(("fit_h self-consistency: rr_hacked(h_fit) - 36/97",
-                   rates.rr_hacked(old, h_fit) - 36.0 / 97.0, 0.0, 1e-9, "CHECK"))
-    claims.append(("paper h point estimate 0.075 vs derived root (documented gap)",
-                   h_fit, 0.075, 0.005, "INFO"))
+_OLD = rates.TestDesign(0.05, 0.20, sweeps.DEFAULT_PHI)
+_NEW_80 = rates.TestDesign(0.005, 0.20, sweeps.DEFAULT_PHI)
+_NEW_50 = rates.TestDesign(0.005, 0.50, sweeps.DEFAULT_PHI)
 
-    est = estimator.fit_h_stratified(estimator.PSYCH_REP, old)
-    claims.append(("stratified range low vs 0.05", est.range_low, 0.05, 0.03, "CHECK"))
-    claims.append(("stratified range high vs 0.15", est.range_high, 0.15, 0.03, "CHECK"))
 
-    new_50 = rates.TestDesign(0.005, 0.50, phi)
-    claims.append(("rr ratio at power 0.50, h=0.05, psi=0.75",
-                   estimator.rr_ratio(new_50, old, 0.05, 0.75), 1.19, 0.01, "CHECK"))
-    claims.append(("rr ratio at power 0.50, h=0.15, psi=1",
-                   estimator.rr_ratio(new_50, old, 0.15, 1.0), 0.81, 0.01, "CHECK"))
-    claims.append(("rr at power 0.50, h=0.05, psi=0.75",
-                   rates.rr_regime(new_50, 0.05, 0.75), 0.51, 0.005, "CHECK"))
-    claims.append(("rr at power 0.50, h=0.15, psi=1",
-                   rates.rr_regime(new_50, 0.15, 1.0), 0.20, 0.005, "CHECK"))
+def _fpr_claim(alpha: float, h: float, want: float) -> Claim:
+    design = rates.TestDesign(alpha, 0.20, sweeps.DEFAULT_PHI)
+    return Claim(f"fpr(alpha={alpha}, h={h}, power=0.80, psi=1)",
+                 lambda: rates.fpr_hacked(design, h), want, 0.005)
 
-    new_80 = rates.TestDesign(0.005, 0.20, phi)
-    psi_005 = estimator.solve_psi_for_rr_ratio(2.0, new_80, old, 0.05).psi
-    claims.append(("doubling persistence threshold at h=0.05",
-                   psi_005, 0.154, 0.02, "CHECK"))
-    psi_015 = estimator.solve_psi_for_rr_ratio(2.0, new_80, old, 0.15).psi
-    claims.append(("doubling threshold at h=0.15: derived root vs figure-read 0.35 (documented gap)",
-                   psi_015, 0.35, 0.02, "INFO"))
 
-    claims.append(("bound FPR at pi=0.25, h=0.15 exceeds 0.20",
-                   float(rates.fpr_bound(new_80, 0.15, 0.25) > 0.20), 1.0, 0.0, "CHECK"))
+def _h_fit() -> float:
+    return estimator.fit_h(estimator.PSYCH_REP, _OLD)
 
-    if strict:
-        claims = [(label, got, want, tol, "CHECK") for label, got, want, tol, _ in claims]
-    return claims
+
+def _doubling_psi(h: float) -> float:
+    return estimator.solve_psi_for_rr_ratio(2.0, _NEW_80, _OLD, h).psi
+
+
+#: The paper's headline numbers, in report order.
+CLAIMS = (
+    _fpr_claim(0.05, 0.0, 0.38),
+    _fpr_claim(0.005, 0.0, 0.06),
+    _fpr_claim(0.05, 0.05, 0.57),
+    _fpr_claim(0.005, 0.05, 0.44),
+    _fpr_claim(0.05, 0.15, 0.75),
+    _fpr_claim(0.005, 0.15, 0.71),
+    Claim("rr_sound(0.05, power=0.80, odds 1:10)",
+          lambda: rates.rr_sound(_OLD), 0.615, 0.005),
+    Claim("psych-rep observed rate 36/97",
+          lambda: estimator.PSYCH_REP.rate, 36.0 / 97.0, 0.0),
+    Claim("fit_h(36/97) within [0.070, 0.080]", _h_fit, 0.075, 0.005),
+    Claim("fit_h self-consistency: rr_hacked(h_fit) - 36/97",
+          lambda: rates.rr_hacked(_OLD, _h_fit()) - 36.0 / 97.0, 0.0, 1e-9),
+    Claim("paper h point estimate 0.075 vs derived root (documented gap)",
+          _h_fit, 0.075, 0.005, info=True),
+    Claim("stratified range low vs 0.05",
+          lambda: estimator.fit_h_stratified(estimator.PSYCH_REP, _OLD).range_low, 0.05, 0.03),
+    Claim("stratified range high vs 0.15",
+          lambda: estimator.fit_h_stratified(estimator.PSYCH_REP, _OLD).range_high, 0.15, 0.03),
+    Claim("rr ratio at power 0.50, h=0.05, psi=0.75",
+          lambda: estimator.rr_ratio(_NEW_50, _OLD, 0.05, 0.75), 1.19, 0.01),
+    Claim("rr ratio at power 0.50, h=0.15, psi=1",
+          lambda: estimator.rr_ratio(_NEW_50, _OLD, 0.15, 1.0), 0.81, 0.01),
+    Claim("rr at power 0.50, h=0.05, psi=0.75",
+          lambda: rates.rr_regime(_NEW_50, 0.05, 0.75), 0.51, 0.005),
+    Claim("rr at power 0.50, h=0.15, psi=1",
+          lambda: rates.rr_regime(_NEW_50, 0.15, 1.0), 0.20, 0.005),
+    Claim("doubling persistence threshold at h=0.05",
+          lambda: _doubling_psi(0.05), 0.154, 0.02),
+    Claim("doubling threshold at h=0.15: derived root vs figure-read 0.35 (documented gap)",
+          lambda: _doubling_psi(0.15), 0.35, 0.02, info=True),
+    Claim("bound FPR at pi=0.25, h=0.15 exceeds 0.20",
+          lambda: float(rates.fpr_bound(_NEW_80, 0.15, 0.25) > 0.20), 1.0, 0.0),
+)
 
 
 def cmd_reproduce(args) -> int:
     out = _out_dir(args)
     written = []
-    for figure in (1, 2, 3, 4, 5):
-        written.extend(_write_results(_figure_results(figure, None), out, want_svg=True))
+    for figure in sweeps.FIGURES:
+        written.extend(_write_results(sweeps.figure_results(figure), out, want_svg=True))
     failures = 0
-    for label, got, want, tol, level in _reproduction_claims(args.strict):
-        ok = abs(got - want) <= tol
-        if level == "INFO":
+    for claim in CLAIMS:
+        got = claim.compute()
+        ok = abs(got - claim.want) <= claim.tol
+        if claim.info and not args.strict:
             status = "INFO"
         else:
             status = "PASS" if ok else "FAIL"
             failures += not ok
-        print(f"{status:4s}  {label}: computed {got:.6g}, reference {want:.6g}, tol {tol:g}")
+        print(f"{status:4s}  {claim.label}: computed {got:.6g}, "
+              f"reference {claim.want:.6g}, tol {claim.tol:g}")
     print(f"wrote {sum(1 for p in written if p.suffix == '.csv')} CSV and "
           f"{sum(1 for p in written if p.suffix == '.svg')} SVG files to {out}")
     return EXIT_OK if failures == 0 else EXIT_REPRODUCE_FAIL
@@ -347,17 +349,20 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit the hacking rate to replication counts")
     _add_design_flags(p)
-    p.add_argument("--builtin", choices=["psych-rep"], help="use a built-in dataset")
-    p.add_argument("--data", help="JSON file with total, replicated, strata[]")
+    g = p.add_mutually_exclusive_group()
+    g.add_argument("--builtin", choices=["psych-rep"], help="use a built-in dataset")
+    g.add_argument("--data", help="JSON file with total, replicated, strata[]")
     p.add_argument("--stratified", action="store_true", help="also fit per-stratum range")
-    p.add_argument("--model", default="per_stratum_rate",
-                   choices=["per_stratum_rate", "threshold_clustering"],
-                   help="stratum model for the range fit")
+    p.add_argument("--model", choices=["per_stratum_rate", "threshold_clustering"],
+                   help="stratum model for the range fit (needs --stratified; "
+                        "default per_stratum_rate)")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("sweep", help="write figure CSV (and SVG) files")
-    p.add_argument("--figure", type=int, required=True, help="figure id 1-5")
-    p.add_argument("--h", type=float, help="hacking rate for figures 3 and 5")
+    p.add_argument("--figure", type=_figure_id, required=True,
+                   help="figure id: " + ", ".join(map(str, sweeps.FIGURES)))
+    p.add_argument("--h", type=float, help="hacking rate for figures " + " and ".join(
+        str(figure) for figure, (_, default_hs) in sweeps.FIGURES.items() if default_hs))
     p.add_argument("--out", help="output directory")
     p.add_argument("--svg", action="store_true", help="also write SVG files")
     p.set_defaults(func=cmd_sweep)

@@ -88,45 +88,36 @@ class TestDesign:
 
 
 @dataclass(frozen=True)
-class DirectPsi:
-    """Persistence given directly as a number in [0, 1]."""
-
-    value: float
-
-    def __post_init__(self):
-        _check_prob("psi", self.value)
-
-
-@dataclass(frozen=True)
 class InterpolatedPsi:
     """Persistence interpolated between the naive CDF value of hacked
     P-values below the new cutoff (pi = 0) and full persistence (pi = 1):
     resolved psi = pi + (1 - pi) * naive_cdf.
+
+    The default naive_cdf = 0 is the conservative lower bound psi = pi:
+    any interpolated persistence with the same pi is at least this large.
     """
 
     pi: float
-    naive_cdf: float
+    naive_cdf: float = 0.0
 
     def __post_init__(self):
         _check_prob("pi", self.pi)
         _check_prob("naive_cdf", self.naive_cdf)
 
-
-@dataclass(frozen=True)
-class LowerBoundPsi:
-    """Conservative choice naive_cdf = 0, so resolved psi = pi.
-
-    This is the computable lower-bound curve: any interpolated persistence
-    with the same pi is at least this large.
-    """
-
-    pi: float
-
-    def __post_init__(self):
-        _check_prob("pi", self.pi)
+    @property
+    def value(self) -> float:
+        return self.pi + (1.0 - self.pi) * self.naive_cdf
 
 
-PsiSpec = DirectPsi | InterpolatedPsi | LowerBoundPsi
+def DirectPsi(psi: float) -> InterpolatedPsi:
+    """Persistence given directly as a number in [0, 1]."""
+    _check_prob("psi", psi)
+    return InterpolatedPsi(psi)
+
+
+def LowerBoundPsi(pi: float) -> InterpolatedPsi:
+    """Conservative lower bound: resolved psi = pi."""
+    return InterpolatedPsi(pi)
 
 
 @dataclass(frozen=True)
@@ -136,7 +127,7 @@ class HackingRegime:
 
     h: float
     baseline_alpha: float = 0.05
-    psi_spec: PsiSpec = DirectPsi(1.0)
+    psi_spec: InterpolatedPsi = InterpolatedPsi(1.0)
 
     def __post_init__(self):
         _check_prob("h", self.h, open_hi=True)
@@ -157,14 +148,7 @@ def resolve_psi(regime: HackingRegime, new_alpha: float) -> float:
         )
     if new_alpha == regime.baseline_alpha:
         return 1.0
-    spec = regime.psi_spec
-    if isinstance(spec, DirectPsi):
-        return spec.value
-    if isinstance(spec, InterpolatedPsi):
-        return spec.pi * 1.0 + (1.0 - spec.pi) * spec.naive_cdf
-    if isinstance(spec, LowerBoundPsi):
-        return spec.pi
-    raise TypeError(f"unknown psi spec {spec!r}")
+    return regime.psi_spec.value
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,15 @@ import itertools
 from dataclasses import dataclass, field
 
 from . import svg
-from .errors import UnsupportedShapeError
-from .rates import TestDesign, fpr_bound, fpr_hacked, fpr_sound, rr_sound
+from .errors import DomainError, UnsupportedShapeError
+from .rates import InterpolatedPsi, TestDesign, fpr_bound, fpr_hacked, fpr_sound, rr_sound
 from .estimator import rr_ratio
 
 __all__ = [
     "SweepResult",
     "DEFAULT_PHI",
+    "FIGURES",
+    "figure_results",
     "sweep_figure1",
     "sweep_figure2",
     "sweep_figure3",
@@ -33,11 +35,11 @@ __all__ = [
 DEFAULT_PHI = 10.0 / 11.0
 DEFAULT_BETA = 0.20
 
-_POWER_FINE = [round(0.05 + 0.01 * i, 2) for i in range(95)]  # 0.05 .. 0.99
-_POWER_COARSE = [round(0.05 * i, 2) for i in range(1, 20)]  # 0.05 .. 0.95
-_H_COARSE = [round(0.05 * i, 2) for i in range(20)]  # 0.00 .. 0.95
-_PI_GRID = [round(0.005 * i, 3) for i in range(201)]  # 0 .. 1
-_PSI_COARSE = [round(0.05 * i, 2) for i in range(21)]  # 0 .. 1
+_POWER_FINE = tuple(round(0.05 + 0.01 * i, 2) for i in range(95))  # 0.05 .. 0.99
+_POWER_COARSE = tuple(round(0.05 * i, 2) for i in range(1, 20))  # 0.05 .. 0.95
+_H_COARSE = tuple(round(0.05 * i, 2) for i in range(20))  # 0.00 .. 0.95
+_PI_GRID = tuple(round(0.005 * i, 3) for i in range(201))  # 0 .. 1
+_PSI_COARSE = tuple(round(0.05 * i, 2) for i in range(21))  # 0 .. 1
 
 
 @dataclass(frozen=True)
@@ -54,54 +56,40 @@ class SweepResult:
     metadata: dict = field(default_factory=dict)
 
 
-def _grid(axes):
-    return itertools.product(*(values for _, values in axes))
+def _sweep(figure_id, kind, axes, columns, cell, **metadata) -> SweepResult:
+    """Evaluate ``cell(*point)`` (a value tuple) at every row-major point
+    of the grid spanned by ``axes``."""
+    points = itertools.product(*(values for _, values in axes))
+    rows = tuple((point, cell(*point)) for point in points)
+    return SweepResult(figure_id, kind, axes, columns, rows, metadata)
+
+
+def _design(alpha: float, power: float) -> TestDesign:
+    return TestDesign(alpha, 1.0 - power, DEFAULT_PHI)
 
 
 def sweep_figure1() -> SweepResult:
     """FPR vs power for alpha in {0.05, 0.005} x h in {0, 0.05, 0.15},
     prior odds 1:10, full persistence at each operative cutoff."""
-    axes = (
-        ("alpha", (0.05, 0.005)),
-        ("h", (0.0, 0.05, 0.15)),
-        ("power", tuple(_POWER_FINE)),
-    )
-    rows = []
-    for alpha, h, power in _grid(axes):
-        design = TestDesign(alpha, 1.0 - power, DEFAULT_PHI)
-        rows.append(((alpha, h, power), (fpr_hacked(design, h),)))
-    return SweepResult(
-        figure_id="figure1",
-        kind="line",
-        axes=axes,
-        columns=("fpr",),
-        rows=tuple(rows),
-        metadata={"phi": DEFAULT_PHI, "psi": 1.0},
-    )
+    axes = (("alpha", (0.05, 0.005)), ("h", (0.0, 0.05, 0.15)), ("power", _POWER_FINE))
+    return _sweep("figure1", "line", axes, ("fpr",),
+                  lambda alpha, h, power: (fpr_hacked(_design(alpha, power), h),),
+                  phi=DEFAULT_PHI, psi=1.0)
 
 
 def sweep_figure2() -> SweepResult:
     """FPR and RR vs power at h = 0 for both cutoffs; each row satisfies
     fpr + rr = 1."""
-    axes = (
-        ("alpha", (0.05, 0.005)),
-        ("power", tuple(_POWER_FINE)),
-    )
-    rows = []
-    for alpha, power in _grid(axes):
-        design = TestDesign(alpha, 1.0 - power, DEFAULT_PHI)
-        rows.append(((alpha, power), (fpr_sound(design), rr_sound(design))))
-    return SweepResult(
-        figure_id="figure2",
-        kind="line",
-        axes=axes,
-        columns=("fpr", "rr"),
-        rows=tuple(rows),
-        metadata={"phi": DEFAULT_PHI, "h": 0.0},
-    )
+
+    def cell(alpha, power):
+        design = _design(alpha, power)
+        return fpr_sound(design), rr_sound(design)
+
+    axes = (("alpha", (0.05, 0.005)), ("power", _POWER_FINE))
+    return _sweep("figure2", "line", axes, ("fpr", "rr"), cell, phi=DEFAULT_PHI, h=0.0)
 
 
-def sweep_figure3(h: float, naive_cdf: float | None = None) -> SweepResult:
+def sweep_figure3(h: float, naive_cdf: float = 0.0) -> SweepResult:
     """Regime-change FPR bound over the persistence parameter at the
     0.005 cutoff, with the three reference constants (FPR with hacking
     at 0.05; sound FPR at 0.05; sound FPR at 0.005) in metadata.
@@ -111,53 +99,24 @@ def sweep_figure3(h: float, naive_cdf: float | None = None) -> SweepResult:
     """
     old = TestDesign(0.05, DEFAULT_BETA, DEFAULT_PHI)
     new = TestDesign(0.005, DEFAULT_BETA, DEFAULT_PHI)
-    axes = (("pi", tuple(_PI_GRID)),)
-    rows = []
-    for (pi,) in _grid(axes):
-        psi = pi if naive_cdf is None else pi + (1.0 - pi) * naive_cdf
-        rows.append(((pi,), (fpr_bound(new, h, psi),)))
-    return SweepResult(
-        figure_id=f"figure3_h{h:g}",
-        kind="line",
-        axes=axes,
-        columns=("fpr_bound",),
-        rows=tuple(rows),
-        metadata={
-            "h": h,
-            "phi": DEFAULT_PHI,
-            "alpha_new": 0.005,
-            "naive_cdf": 0.0 if naive_cdf is None else naive_cdf,
-            "references": {
-                "fpr_hacked_0.05": fpr_hacked(old, h),
-                "fpr_sound_0.05": fpr_sound(old),
-                "fpr_sound_0.005": fpr_sound(new),
-            },
-        },
-    )
+    references = {
+        "fpr_hacked_0.05": fpr_hacked(old, h),
+        "fpr_sound_0.05": fpr_sound(old),
+        "fpr_sound_0.005": fpr_sound(new),
+    }
+    return _sweep(f"figure3_h{h:g}", "line", (("pi", _PI_GRID),), ("fpr_bound",),
+                  lambda pi: (fpr_bound(new, h, InterpolatedPsi(pi, naive_cdf).value),),
+                  h=h, phi=DEFAULT_PHI, alpha_new=0.005, naive_cdf=naive_cdf,
+                  references=references)
 
 
 def sweep_figure4() -> SweepResult:
     """FPR heatmaps over power x h at both cutoffs (full persistence),
     one value column per cutoff."""
-    axes = (
-        ("power", tuple(_POWER_COARSE)),
-        ("h", tuple(_H_COARSE)),
-    )
-    rows = []
-    for power, h in _grid(axes):
-        vals = tuple(
-            fpr_hacked(TestDesign(alpha, 1.0 - power, DEFAULT_PHI), h)
-            for alpha in (0.05, 0.005)
-        )
-        rows.append(((power, h), vals))
-    return SweepResult(
-        figure_id="figure4",
-        kind="heatmap",
-        axes=axes,
-        columns=("fpr_alpha_0.05", "fpr_alpha_0.005"),
-        rows=tuple(rows),
-        metadata={"phi": DEFAULT_PHI, "psi": 1.0},
-    )
+    axes = (("power", _POWER_COARSE), ("h", _H_COARSE))
+    return _sweep("figure4", "heatmap", axes, ("fpr_alpha_0.05", "fpr_alpha_0.005"),
+                  lambda power, h: tuple(fpr_hacked(_design(a, power), h) for a in (0.05, 0.005)),
+                  phi=DEFAULT_PHI, psi=1.0)
 
 
 def sweep_figure5(h: float) -> SweepResult:
@@ -165,23 +124,40 @@ def sweep_figure5(h: float) -> SweepResult:
     grid, persistence psi) to the rate at the 0.05 cutoff with power
     0.80; cells with ratio < 1 are tagged ``below_one``."""
     old = TestDesign(0.05, DEFAULT_BETA, DEFAULT_PHI)
-    axes = (
-        ("power", tuple(_POWER_COARSE)),
-        ("psi", tuple(_PSI_COARSE)),
-    )
-    rows = []
-    for power, psi in _grid(axes):
-        new = TestDesign(0.005, 1.0 - power, DEFAULT_PHI)
-        ratio = rr_ratio(new, old, h, psi)
-        rows.append(((power, psi), (ratio, float(ratio < 1.0))))
-    return SweepResult(
-        figure_id=f"figure5_h{h:g}",
-        kind="heatmap",
-        axes=axes,
-        columns=("ratio", "below_one"),
-        rows=tuple(rows),
-        metadata={"h": h, "phi": DEFAULT_PHI, "old_power": 1.0 - DEFAULT_BETA},
-    )
+
+    def cell(power, psi):
+        ratio = rr_ratio(_design(0.005, power), old, h, psi)
+        return ratio, float(ratio < 1.0)
+
+    axes = (("power", _POWER_COARSE), ("psi", _PSI_COARSE))
+    return _sweep(f"figure5_h{h:g}", "heatmap", axes, ("ratio", "below_one"), cell,
+                  h=h, phi=DEFAULT_PHI, old_power=1.0 - DEFAULT_BETA)
+
+
+#: Figure id -> (sweep, default hacking rates).  Sweeps with default
+#: rates take one h per result; the others take no arguments.
+FIGURES = {
+    1: (sweep_figure1, None),
+    2: (sweep_figure2, None),
+    3: (sweep_figure3, (0.05, 0.15)),
+    4: (sweep_figure4, None),
+    5: (sweep_figure5, (0.05, 0.15)),
+}
+
+
+def figure_results(figure: int, h: float | None = None) -> list[SweepResult]:
+    """The sweeps behind one figure: one per hacking rate for figures
+    that take one (``h``, or the paper's defaults when ``h`` is None),
+    else a single sweep.  Raises DomainError for an unknown figure or an
+    ``h`` the figure does not take."""
+    if figure not in FIGURES:
+        raise DomainError(f"unknown figure id {figure}")
+    sweep, default_hs = FIGURES[figure]
+    if default_hs is None:
+        if h is not None:
+            raise DomainError(f"figure {figure} takes no hacking rate h")
+        return [sweep()]
+    return [sweep(hh) for hh in (default_hs if h is None else (h,))]
 
 
 def _num(x: float) -> str:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -203,6 +204,26 @@ class TestReproduce:
         code, _, _ = run(capsys, "reproduce")
         assert code == 0
         assert (tmp_path / "envout" / "figure1.csv").exists()
+
+    def test_report_matches_golden(self, capsys, tmp_path):
+        # Pins every label, computed value, reference and tolerance apart
+        # from the claim table that produces them.
+        code, out, _ = run(capsys, "reproduce", "--out", str(tmp_path))
+        assert code == 0
+        golden = (Path(__file__).parent / "golden" / "reproduce.txt").read_text()
+        assert out.replace(str(tmp_path), "<out>") == golden
+
+
+class TestIgnoredArgument:
+    @pytest.mark.parametrize("argv, want_code", [
+        (["fit", "--builtin", "psych-rep", "--data", "{tmp}/data.json"], 2),
+        (["fit", "--builtin", "psych-rep", "--model", "threshold_clustering"], 2),
+        (["sweep", "--figure", "1", "--h", "0.15", "--out", "{tmp}"], 3),
+    ], ids=["fit-builtin-and-data", "fit-model-unstratified", "sweep-h-on-figure-1"])
+    def test_rejected(self, capsys, tmp_path, argv, want_code):
+        code, _, err = run(capsys, *(arg.format(tmp=tmp_path) for arg in argv))
+        assert code == want_code
+        assert "error:" in err and "Traceback" not in err
 
 
 class TestUnwritableOut:
