@@ -25,11 +25,6 @@ __all__ = [
     "PsiSolution",
 ]
 
-#: Bracket end and tolerance of the threshold-clustering bisection.
-_H_MAX = 1.0 - 1e-12
-_ROOT_XTOL = 1e-12
-
-
 @dataclass(frozen=True)
 class ReplicationStratum:
     p_low: float
@@ -217,21 +212,22 @@ def fit_h_stratified(
 
 
 def _solve_h_clustered(design: TestDesign, stratum: ReplicationStratum) -> float:
-    from scipy.optimize import bisect
-
+    """Exact root of _clustered_stratum_rate = rate.  In the stratum holding
+    the cutoff it has _solve_h_for_rate's form, so h = K / (K + rate) with
+    K = tp - rate*(tp+fp); in any other the rate does not depend on h."""
+    tp, fp = _stratum_split(design, stratum)
     rate = stratum.rate
-
-    def f(h):
-        return _clustered_stratum_rate(design, stratum, h) - rate
-
-    f0, f1 = f(0.0), f(_H_MAX)
-    if f0 * f1 > 0.0:
-        raise NoRootError(
-            f"stratum ({stratum.p_low}, {stratum.p_high}): predicted rate "
-            f"spans [{min(f0, f1) + rate:.4g}, {max(f0, f1) + rate:.4g}], "
-            f"observed {rate:.4g} outside"
-        )
-    return float(bisect(f, 0.0, _H_MAX, xtol=_ROOT_XTOL))
+    holds = stratum.p_low < design.alpha <= stratum.p_high
+    k = tp - rate * (tp + fp)
+    if holds and rate > 0.0 and k > 0.0:
+        return k / (k + rate)
+    if tp + fp == 0.0:
+        raise NoRootError("empty stratum prediction")
+    at0 = tp / (tp + fp)
+    raise NoRootError(
+        f"stratum ({stratum.p_low}, {stratum.p_high}): predicted rate "
+        f"spans [{0.0 if holds else at0:.4g}, {at0:.4g}], observed {rate:.4g} outside"
+    )
 
 
 def _nearest_attainable(model, design, stratum):

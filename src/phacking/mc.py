@@ -10,9 +10,10 @@ so the rejection probability at the operative cutoff equals the power.
 Replication is perfect: a significant sound true positive replicates,
 nothing else does.
 
-The generator is numpy's PCG64 (via ``default_rng``) with a fixed draw
-order, so a given (seed, n_tests, parameters) always produces identical
-output on any platform.  The generator name is recorded in the outcome.
+The generator is numpy's PCG64 (via ``default_rng``), drawn ``CHUNK``
+studies at a time in a fixed order, so a given (seed, n_tests, parameters)
+always produces identical output on any platform, in bounded memory.  The
+generator name is recorded in the outcome.
 """
 
 from __future__ import annotations
@@ -26,6 +27,9 @@ from .rates import HackingRegime, TestDesign, _norm, fpr_regime, normal_shift_de
 __all__ = ["SimConfig", "SimOutcome", "CheckRow", "CrosscheckReport", "simulate", "crosscheck"]
 
 GENERATOR_NAME = "numpy-PCG64"
+
+#: Studies drawn and counted at a time.
+CHUNK = 2**20
 
 
 @dataclass(frozen=True)
@@ -101,38 +105,34 @@ def simulate(config: SimConfig) -> SimOutcome:
     h = config.hacking.h
     cutoff = config.cutoff
     psi = resolve_psi(config.hacking, cutoff)
-
-    rng = np.random.default_rng(config.seed)
-    # Fixed draw order, one vector per decision, so results do not depend
-    # on branch frequencies.
-    u_hack = rng.random(n)
-    u_null = rng.random(n)
-    u_pnull = rng.random(n)
-    z_alt = rng.standard_normal(n)
-    u_hacksig = rng.random(n)
-
-    hacked = u_hack < h
-    sound = ~hacked
-    h0_true = sound & (u_null < design.phi)
-    h0_false = sound & ~h0_true
-
-    pvals = np.empty(n)
-    pvals[h0_true] = u_pnull[h0_true]
+    # A sound false-null study rejects when z_alt + delta > z_crit: always
+    # at beta = 0, never at beta = 1.
     if design.beta in (0.0, 1.0):
-        # Degenerate power: rejection is deterministic.
-        pvals[h0_false] = 0.0 if design.beta == 0.0 else 1.0
+        delta = math.inf if design.beta == 0.0 else -math.inf
     else:
         delta = normal_shift_delta(1.0 - design.beta, cutoff)
-        pvals[h0_false] = _norm().sf(z_alt[h0_false] + delta)
-    sig_sound = sound & (pvals < cutoff)
-    sig_hacked = hacked & (u_hacksig < psi)
+    z_crit = -_norm().inv_cdf(cutoff)
 
-    str_ = int(np.count_nonzero(sig_sound & h0_true))
-    sfr = int(np.count_nonzero(sig_sound & h0_false))
-    ur = int(np.count_nonzero(sig_hacked))
-    n_sound_true = int(np.count_nonzero(h0_true))
-    n_sound_false = int(np.count_nonzero(h0_false))
-    n_unsound = int(np.count_nonzero(hacked))
+    rng = np.random.default_rng(config.seed)
+    str_ = sfr = ur = n_sound_true = n_sound_false = n_unsound = 0
+    for start in range(0, n, CHUNK):
+        m = min(CHUNK, n - start)
+        # Fixed draw order, one vector per decision, so results do not
+        # depend on branch frequencies.
+        u_hack = rng.random(m)
+        u_null = rng.random(m)
+        u_pnull = rng.random(m)
+        z_alt = rng.standard_normal(m)
+        u_hacksig = rng.random(m)
+        hacked = u_hack < h
+        h0_true = ~hacked & (u_null < design.phi)
+        h0_false = ~(hacked | h0_true)
+        str_ += int(np.count_nonzero(h0_true & (u_pnull < cutoff)))
+        sfr += int(np.count_nonzero(h0_false & (z_alt + delta > z_crit)))
+        ur += int(np.count_nonzero(hacked & (u_hacksig < psi)))
+        n_sound_true += int(np.count_nonzero(h0_true))
+        n_sound_false += int(np.count_nonzero(h0_false))
+        n_unsound += int(np.count_nonzero(hacked))
 
     n_sig = str_ + sfr + ur
     if n_sig == 0:

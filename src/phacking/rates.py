@@ -15,6 +15,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import CutoffAboveBaselineError, DegenerateDesignError, DomainError
@@ -331,9 +332,9 @@ def power_at_new_cutoff(power_at_alpha: float, alpha: float, new_alpha: float) -
     """
     if not (0.0 < new_alpha <= alpha < 1.0):
         raise DomainError(f"need 0 < new_alpha <= alpha < 1, got {new_alpha}, {alpha}")
-    delta = normal_shift_delta(power_at_alpha, alpha)
-    norm = _norm()
-    return float(norm.cdf(delta - norm.ppf(1.0 - new_alpha)))
+    z = normal_shift_delta(power_at_alpha, alpha) + _norm().inv_cdf(new_alpha)
+    # erfc keeps the relative accuracy of small powers that 1 + erf(...) loses
+    return 0.5 * math.erfc(-z / math.sqrt(2.0))
 
 
 def normal_shift_delta(power: float, alpha: float) -> float:
@@ -341,13 +342,13 @@ def normal_shift_delta(power: float, alpha: float) -> float:
     if not (0.0 < power < 1.0) or not (0.0 < alpha < 1.0):
         raise DomainError("power and alpha must lie in (0, 1)")
     norm = _norm()
-    return float(norm.ppf(power) + norm.ppf(1.0 - alpha))
+    return norm.inv_cdf(power) - norm.inv_cdf(alpha)
 
 
 def _norm():
-    """``scipy.stats.norm``, imported on first use: importing scipy.stats
-    takes most of the package's start-up time and memory, and only the
-    normal-shift functions and ``mc.simulate`` need it."""
-    from scipy.stats import norm
+    """``statistics.NormalDist()``, imported on first use so the light CLI
+    paths skip the few ms it takes.  Upper quantiles are ``-inv_cdf(alpha)``:
+    ``inv_cdf(1 - alpha)`` fails once 1 - alpha rounds to 1."""
+    from statistics import NormalDist
 
-    return norm
+    return NormalDist()

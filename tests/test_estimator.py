@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phacking import (
     PSYCH_REP,
@@ -16,7 +18,7 @@ from phacking import (
     rr_regime,
     solve_psi_for_rr_ratio,
 )
-from phacking.estimator import _solve_h_for_rate
+from phacking.estimator import _clustered_stratum_rate, _solve_h_clustered, _solve_h_for_rate, _stratum_split
 
 PHI = 10.0 / 11.0
 OLD = TestDesign(0.05, 0.20, PHI)
@@ -151,6 +153,29 @@ class TestFitHStratified:
         above = est.residuals[1]
         assert above["no_root"] and above["fitted"] is None
         assert not est.residuals[0]["no_root"]
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        design=st.builds(TestDesign, alpha=st.floats(1e-3, 0.5), beta=st.floats(0.01, 0.99),
+                         phi=st.floats(0.01, 0.99)),
+        p_low=st.one_of(st.just(0.0), st.floats(0.0, 0.6)),
+        width=st.floats(1e-4, 0.6),
+        counts=st.integers(1, 1000).flatmap(lambda total: st.tuples(st.just(total), st.integers(0, total))),
+    )
+    def test_threshold_clustering_exact_root(self, design, p_low, width, counts):
+        # random splits, strata wholly below, across and above the cutoff
+        stratum = ReplicationStratum(p_low, p_low + width, *counts)
+        rate = stratum.rate
+        tp, fp = _stratum_split(design, stratum)
+        k = tp - rate * (tp + fp)
+        holds = stratum.p_low < design.alpha <= stratum.p_high
+        if rate <= 0.0 or k <= 0.0 or not holds:
+            with pytest.raises(NoRootError):
+                _solve_h_clustered(design, stratum)
+            return
+        root = _solve_h_clustered(design, stratum)
+        assert 0.0 < root < 1.0
+        assert abs(_clustered_stratum_rate(design, stratum, root) - rate) <= 1e-12
 
     def test_requires_strata(self):
         with pytest.raises(DomainError):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from scipy.stats import norm
@@ -13,7 +14,7 @@ from phacking import (
     fpr_regime,
     simulate,
 )
-from phacking.mc import GENERATOR_NAME
+from phacking.mc import CHUNK, GENERATOR_NAME
 from phacking.rates import normal_shift_delta
 
 PHI = 10.0 / 11.0
@@ -41,8 +42,9 @@ class TestSimulate:
         assert out.seed == 42
 
     def test_cell_conservation(self):
-        for seed in (0, 1, 2):
-            out = simulate(config(seed=seed, h=0.2, psi=0.3, cutoff=0.01))
+        # the last case ends in a second chunk of one study
+        for seed, n in ((0, N), (1, N), (2, CHUNK + 1)):
+            out = simulate(config(n=n, seed=seed, h=0.2, psi=0.3, cutoff=0.01))
             assert sum(out.cells().values()) == out.n_tests
             assert out.n_sound_true + out.n_unsound + out.n_sound_false == out.n_tests
 
@@ -84,6 +86,17 @@ class TestSimulate:
         expected = float(norm.cdf(delta - norm.ppf(1 - 0.05)))
         frac = out.sound_false_reject / out.n_tests
         assert frac == pytest.approx(expected, abs=4 * math.sqrt(expected * (1 - expected) / N))
+
+    def test_memory_bounded_in_n(self):
+        def peak(n):
+            tracemalloc.start()
+            try:
+                simulate(config(n=n, h=0.1, psi=0.5, cutoff=0.005))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(4 * CHUNK) <= 1.5 * peak(CHUNK)
 
     def test_config_validation(self):
         with pytest.raises(DegenerateConfigError):

@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.stats import norm
 
 from phacking import (
     CutoffAboveBaselineError,
@@ -27,6 +30,7 @@ from phacking import (
     table_regime,
     table_sound,
 )
+from phacking.rates import normal_shift_delta
 
 PHI = 10.0 / 11.0
 OLD = TestDesign(0.05, 0.20, PHI)
@@ -261,6 +265,20 @@ class TestPowerTransfer:
             delta = _normal_quantile_quad(power) + _normal_quantile_quad(1 - alpha)
             expected = _normal_cdf_quad(delta - _normal_quantile_quad(1 - new_alpha))
             assert power_at_new_cutoff(power, alpha, new_alpha) == pytest.approx(expected, abs=1e-6)
+
+    @given(power=st.floats(1e-9, 1.0 - 1e-9), alpha=st.floats(1e-9, 0.999),
+           fraction=st.floats(1e-6, 1.0))
+    def test_against_scipy_norm(self, power, alpha, fraction):
+        new_alpha = alpha * fraction
+        delta = float(norm.ppf(power) + norm.isf(alpha))
+        assert normal_shift_delta(power, alpha) == pytest.approx(delta, abs=1e-12)
+        expected = float(norm.cdf(delta - norm.isf(new_alpha)))
+        assert power_at_new_cutoff(power, alpha, new_alpha) == pytest.approx(expected, abs=1e-12)
+
+    def test_small_power_keeps_relative_accuracy(self):
+        for power, alpha, new_alpha in [(1e-6, 0.05, 1e-6), (0.01, 0.05, 1e-8)]:
+            expected = float(norm.cdf(norm.ppf(power) + norm.isf(alpha) - norm.isf(new_alpha)))
+            assert power_at_new_cutoff(power, alpha, new_alpha) == pytest.approx(expected, rel=1e-9)
 
     def test_frozen_value(self):
         assert power_at_new_cutoff(0.8, 0.05, 0.005) == pytest.approx(0.4644, abs=5e-4)
