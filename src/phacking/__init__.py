@@ -3,60 +3,53 @@
 Closed-form rate model, hacking-rate estimation from replication counts,
 a seeded Monte Carlo oracle, and sweep/report generators for the
 significance-cutoff policy analysis.
+
+Each public name is imported from its submodule on first access, so
+``import phacking`` loads no submodule.
 """
 
-from .errors import (
-    CutoffAboveBaselineError,
-    DegenerateConfigError,
-    DegenerateDesignError,
-    DomainError,
-    ModelError,
-    NoRootError,
-    UnachievableError,
-    UnsupportedShapeError,
-)
-from .rates import (
-    DirectPsi,
-    HackingRegime,
-    InterpolatedPsi,
-    LowerBoundPsi,
-    OutcomeTable,
-    Rates,
-    TestDesign,
-    fpr_bound,
-    fpr_hacked,
-    fpr_regime,
-    fpr_sound,
-    masses,
-    power_at_new_cutoff,
-    resolve_psi,
-    rr_hacked,
-    rr_regime,
-    rr_sound,
-    table_regime,
-    table_sound,
-)
-from .estimator import (
-    PSYCH_REP,
-    HackingEstimate,
-    PsiSolution,
-    ReplicationData,
-    ReplicationStratum,
-    fit_h,
-    fit_h_stratified,
-    rr_ratio,
-    solve_psi_for_rr_ratio,
-)
-from .mc import CrosscheckReport, SimConfig, SimOutcome, crosscheck, simulate
-from .sweeps import (
-    SweepResult,
-    render_csv,
-    render_svg,
-    sweep_figure1,
-    sweep_figure2,
-    sweep_figure3,
-    sweep_figure4,
-    sweep_figure5,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+#: Submodule -> the public names it provides.
+_EXPORTS = {
+    "errors": (
+        "CutoffAboveBaselineError", "DegenerateConfigError", "DegenerateDesignError",
+        "DomainError", "ModelError", "NoRootError", "UnachievableError", "UnsupportedShapeError",
+    ),
+    "rates": (
+        "DirectPsi", "HackingRegime", "InterpolatedPsi", "LowerBoundPsi", "OutcomeTable",
+        "Rates", "TestDesign", "fpr_bound", "fpr_hacked", "fpr_regime", "fpr_sound", "masses",
+        "power_at_new_cutoff", "resolve_psi", "rr_hacked", "rr_regime", "rr_sound",
+        "table_regime", "table_sound",
+    ),
+    "estimator": (
+        "PSYCH_REP", "HackingEstimate", "PsiSolution", "ReplicationData", "ReplicationStratum",
+        "fit_h", "fit_h_stratified", "rr_ratio", "solve_psi_for_rr_ratio",
+    ),
+    "mc": ("CrosscheckReport", "SimConfig", "SimOutcome", "crosscheck", "simulate"),
+    "sweeps": (
+        "SweepResult", "render_csv", "render_svg", "sweep_figure1", "sweep_figure2",
+        "sweep_figure3", "sweep_figure4", "sweep_figure5",
+    ),
+}
+_SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_SOURCE)
+
+
+def __getattr__(name):
+    if name in _EXPORTS:  # the submodule itself, bound here by its import
+        return importlib.import_module(f".{name}", __name__)
+    module = _SOURCE.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    # Later lookups find the name here and never call __getattr__ again.
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -2,8 +2,9 @@
 
 Subcommands: ``rates``, ``fit``, ``sweep``, ``simulate``, ``reproduce``.
 Exit codes: 0 success, 1 reproduction failure, 2 usage error, 3
-domain/math error or an output path that cannot be written.  The
-``PHACKING_OUT_DIR`` environment variable sets the default output
+domain/math error or an output path, standard output included, that
+cannot be written.  Each subcommand imports the modules it runs when it
+runs.  The ``PHACKING_OUT_DIR`` environment variable sets the default output
 directory for file-writing subcommands.
 
 ``--pi`` is read as its conservative bound psi = pi, so ``--pi X`` and
@@ -18,11 +19,12 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from collections import namedtuple
 from pathlib import Path
-from typing import Callable, NamedTuple
 
-from . import estimator, mc, rates, sweeps
+import phacking as ph  # the lazy package: CLAIMS load estimator on first use
+
+from . import rates
 from .errors import ModelError
 
 EXIT_OK = 0
@@ -66,7 +68,7 @@ def _add_hacking_flags(parser):
 
 def _design_from(args) -> rates.TestDesign:
     beta = args.beta if args.beta is not None else 1.0 - (args.power if args.power is not None else 0.8)
-    phi = args.phi if args.phi is not None else (args.prior_odds if args.prior_odds is not None else 10.0 / 11.0)
+    phi = args.phi if args.phi is not None else (args.prior_odds if args.prior_odds is not None else rates.DEFAULT_PHI)
     return rates.TestDesign(args.alpha, beta, phi)
 
 
@@ -79,8 +81,10 @@ def _regime_from(args) -> rates.HackingRegime:
 
 
 def _figure_id(text: str) -> int:
+    from .sweeps import FIGURES
+
     figure = int(text) if text.strip().isdigit() else None
-    if figure not in sweeps.FIGURES:
+    if figure not in FIGURES:
         raise argparse.ArgumentTypeError(f"unknown figure id {text}")
     return figure
 
@@ -135,9 +139,11 @@ def cmd_rates(args) -> int:
     return EXIT_OK
 
 
-def _load_replication(args) -> estimator.ReplicationData:
+def _load_replication(args):
     if args.builtin:
-        return estimator.PSYCH_REP
+        from .estimator import PSYCH_REP
+
+        return PSYCH_REP
     if not args.data:
         raise ModelError("supply --builtin psych-rep or --data FILE")
     return _read_replication(Path(args.data))
@@ -155,7 +161,9 @@ def _field(path: Path, record, where: str, key: str, kind):
     return value
 
 
-def _read_replication(path: Path) -> estimator.ReplicationData:
+def _read_replication(path: Path):
+    from .estimator import ReplicationData, ReplicationStratum
+
     try:
         doc = json.loads(path.read_text())
     except OSError as exc:
@@ -169,11 +177,13 @@ def _read_replication(path: Path) -> estimator.ReplicationData:
             where = f"strata[{i}]"
             bounds = [_field(path, s, where, key, (int, float)) for key in ("p_low", "p_high")]
             counts = [_field(path, s, where, key, int) for key in ("total", "replicated")]
-            strata.append(estimator.ReplicationStratum(*bounds, *counts))
-    return estimator.ReplicationData(total, replicated, tuple(strata))
+            strata.append(ReplicationStratum(*bounds, *counts))
+    return ReplicationData(total, replicated, tuple(strata))
 
 
 def cmd_fit(args) -> int:
+    from . import estimator
+
     if args.model and not args.stratified:
         print("error: --model applies only with --stratified", file=sys.stderr)
         return EXIT_USAGE
@@ -200,6 +210,8 @@ def cmd_fit(args) -> int:
 
 
 def _write_results(results, out: Path, want_svg: bool) -> list[Path]:
+    from . import sweeps
+
     written = []
     for result in results:
         written.append(_write(out / f"{result.figure_id}.csv", sweeps.render_csv(result)))
@@ -209,6 +221,8 @@ def _write_results(results, out: Path, want_svg: bool) -> list[Path]:
 
 
 def cmd_sweep(args) -> int:
+    from . import sweeps
+
     results = sweeps.figure_results(args.figure, args.h)
     written = _write_results(results, _out_dir(args), args.svg)
     for path in written:
@@ -217,6 +231,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from . import mc
+
     design = _design_from(args)
     regime = _regime_from(args)
     cutoff = args.cutoff if args.cutoff is not None else design.alpha
@@ -239,41 +255,37 @@ def cmd_simulate(args) -> int:
         "se_fpr": out.se_fpr,
         "se_rr": out.se_rr,
         "empty_denominator": out.empty_denominator,
-        "crosscheck": [asdict(row) for row in report.rows],
+        "crosscheck": [row._asdict() for row in report.rows],
     })
     return EXIT_OK
 
 
-class Claim(NamedTuple):
+class Claim(namedtuple("Claim", "label compute want tol info", defaults=(False,))):
     """One headline number: ``compute()`` must lie within ``tol`` of
     ``want``.  ``info`` marks a documented gap between a derived value
     and a number the source read off its own figures; it is reported as
     INFO and fails only under ``reproduce --strict``."""
 
-    label: str
-    compute: Callable[[], float]
-    want: float
-    tol: float
-    info: bool = False
+    __slots__ = ()
 
 
-_OLD = rates.TestDesign(0.05, 0.20, sweeps.DEFAULT_PHI)
-_NEW_80 = rates.TestDesign(0.005, 0.20, sweeps.DEFAULT_PHI)
-_NEW_50 = rates.TestDesign(0.005, 0.50, sweeps.DEFAULT_PHI)
+_OLD = rates.TestDesign(0.05, 0.20, rates.DEFAULT_PHI)
+_NEW_80 = rates.TestDesign(0.005, 0.20, rates.DEFAULT_PHI)
+_NEW_50 = rates.TestDesign(0.005, 0.50, rates.DEFAULT_PHI)
 
 
 def _fpr_claim(alpha: float, h: float, want: float) -> Claim:
-    design = rates.TestDesign(alpha, 0.20, sweeps.DEFAULT_PHI)
+    design = rates.TestDesign(alpha, 0.20, rates.DEFAULT_PHI)
     return Claim(f"fpr(alpha={alpha}, h={h}, power=0.80, psi=1)",
                  lambda: rates.fpr_hacked(design, h), want, 0.005)
 
 
 def _h_fit() -> float:
-    return estimator.fit_h(estimator.PSYCH_REP, _OLD)
+    return ph.fit_h(ph.PSYCH_REP, _OLD)
 
 
 def _doubling_psi(h: float) -> float:
-    return estimator.solve_psi_for_rr_ratio(2.0, _NEW_80, _OLD, h).psi
+    return ph.solve_psi_for_rr_ratio(2.0, _NEW_80, _OLD, h).psi
 
 
 #: The paper's headline numbers, in report order.
@@ -287,20 +299,20 @@ CLAIMS = (
     Claim("rr_sound(0.05, power=0.80, odds 1:10)",
           lambda: rates.rr_sound(_OLD), 0.615, 0.005),
     Claim("psych-rep observed rate 36/97",
-          lambda: estimator.PSYCH_REP.rate, 36.0 / 97.0, 0.0),
+          lambda: ph.PSYCH_REP.rate, 36.0 / 97.0, 0.0),
     Claim("fit_h(36/97) within [0.070, 0.080]", _h_fit, 0.075, 0.005),
     Claim("fit_h self-consistency: rr_hacked(h_fit) - 36/97",
           lambda: rates.rr_hacked(_OLD, _h_fit()) - 36.0 / 97.0, 0.0, 1e-9),
     Claim("paper h point estimate 0.075 vs derived root (documented gap)",
           _h_fit, 0.075, 0.005, info=True),
     Claim("stratified range low vs 0.05",
-          lambda: estimator.fit_h_stratified(estimator.PSYCH_REP, _OLD).range_low, 0.05, 0.03),
+          lambda: ph.fit_h_stratified(ph.PSYCH_REP, _OLD).range_low, 0.05, 0.03),
     Claim("stratified range high vs 0.15",
-          lambda: estimator.fit_h_stratified(estimator.PSYCH_REP, _OLD).range_high, 0.15, 0.03),
+          lambda: ph.fit_h_stratified(ph.PSYCH_REP, _OLD).range_high, 0.15, 0.03),
     Claim("rr ratio at power 0.50, h=0.05, psi=0.75",
-          lambda: estimator.rr_ratio(_NEW_50, _OLD, 0.05, 0.75), 1.19, 0.01),
+          lambda: ph.rr_ratio(_NEW_50, _OLD, 0.05, 0.75), 1.19, 0.01),
     Claim("rr ratio at power 0.50, h=0.15, psi=1",
-          lambda: estimator.rr_ratio(_NEW_50, _OLD, 0.15, 1.0), 0.81, 0.01),
+          lambda: ph.rr_ratio(_NEW_50, _OLD, 0.15, 1.0), 0.81, 0.01),
     Claim("rr at power 0.50, h=0.05, psi=0.75",
           lambda: rates.rr_regime(_NEW_50, 0.05, 0.75), 0.51, 0.005),
     Claim("rr at power 0.50, h=0.15, psi=1",
@@ -315,6 +327,8 @@ CLAIMS = (
 
 
 def cmd_reproduce(args) -> int:
+    from . import sweeps
+
     out = _out_dir(args)
     written = []
     for figure in sweeps.FIGURES:
@@ -359,10 +373,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("sweep", help="write figure CSV (and SVG) files")
-    p.add_argument("--figure", type=_figure_id, required=True,
-                   help="figure id: " + ", ".join(map(str, sweeps.FIGURES)))
-    p.add_argument("--h", type=float, help="hacking rate for figures " + " and ".join(
-        str(figure) for figure, (_, default_hs) in sweeps.FIGURES.items() if default_hs))
+    # Written out so that building the parser does not import sweeps;
+    # tests/test_cli.py checks both against sweeps.FIGURES.
+    p.add_argument("--figure", type=_figure_id, required=True, help="figure id: 1, 2, 3, 4, 5")
+    p.add_argument("--h", type=float, help="hacking rate for figures 3 and 5")
     p.add_argument("--out", help="output directory")
     p.add_argument("--svg", action="store_true", help="also write SVG files")
     p.set_defaults(func=cmd_sweep)
@@ -392,9 +406,18 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DOMAIN
+    except OSError as exc:
+        # Files and directories raise ModelError, so this is stdout, e.g. a
+        # closed pipe.  Point it at the null device so the flush at exit
+        # does not fail again.
+        print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_DOMAIN
 
 

@@ -7,8 +7,7 @@ P < 0.005 and 12/50 for 0.005 < P < 0.05) ship as ``PSYCH_REP``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import NamedTuple
+from collections import namedtuple
 
 from .errors import DomainError, NoRootError, UnachievableError
 from .rates import TestDesign, masses, power_at_new_cutoff, rr_hacked, rr_regime
@@ -25,38 +24,33 @@ __all__ = [
     "PsiSolution",
 ]
 
-@dataclass(frozen=True)
-class ReplicationStratum:
-    p_low: float
-    p_high: float
-    total: int
-    replicated: int
+class ReplicationStratum(namedtuple("ReplicationStratum", "p_low p_high total replicated")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not 0.0 <= self.p_low < self.p_high:
-            raise DomainError(f"bad P-value range ({self.p_low}, {self.p_high})")
-        if self.replicated < 0 or self.total <= 0 or self.replicated > self.total:
-            raise DomainError(f"bad counts {self.replicated}/{self.total}")
+    def __new__(cls, p_low: float, p_high: float, total: int, replicated: int):
+        if not 0.0 <= p_low < p_high:
+            raise DomainError(f"bad P-value range ({p_low}, {p_high})")
+        if replicated < 0 or total <= 0 or replicated > total:
+            raise DomainError(f"bad counts {replicated}/{total}")
+        return tuple.__new__(cls, (p_low, p_high, total, replicated))
 
     @property
     def rate(self) -> float:
         return self.replicated / self.total
 
 
-@dataclass(frozen=True)
-class ReplicationData:
+class ReplicationData(namedtuple("ReplicationData", "total replicated strata")):
     """Observed replication counts, overall and stratified by the
     original study's P-value range."""
 
-    total: int
-    replicated: int
-    strata: tuple[ReplicationStratum, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.total <= 0:
+    def __new__(cls, total: int, replicated: int, strata: tuple[ReplicationStratum, ...] = ()):
+        if total <= 0:
             raise DomainError("overall total must be positive")
-        if self.replicated < 0 or self.replicated > self.total:
-            raise DomainError(f"bad counts {self.replicated}/{self.total}")
+        if replicated < 0 or replicated > total:
+            raise DomainError(f"bad counts {replicated}/{total}")
+        return tuple.__new__(cls, (total, replicated, strata))
 
     @property
     def rate(self) -> float:
@@ -74,8 +68,8 @@ PSYCH_REP = ReplicationData(
 )
 
 
-@dataclass(frozen=True)
-class HackingEstimate:
+class HackingEstimate(namedtuple("HackingEstimate", "point range_low range_high residuals",
+                                 defaults=((),))):
     """Pooled point estimate plus the stratified range.
 
     ``residuals`` holds one record per stratum: observed rate, fitted
@@ -85,10 +79,7 @@ class HackingEstimate:
     [range_low, range_high].
     """
 
-    point: float
-    range_low: float
-    range_high: float
-    residuals: tuple[dict, ...] = field(default_factory=tuple)
+    __slots__ = ()
 
 
 def fit_h(data: ReplicationData, design: TestDesign) -> float:
@@ -126,14 +117,15 @@ def _stratum_split(design: TestDesign, stratum: ReplicationStratum) -> tuple[flo
     Only the part of the stratum below the cutoff counts.  True-null
     sound P-values are uniform on [0, alpha]; false-null sound P-values
     follow the one-sided normal shift calibrated to the design's power,
-    whose CDF is 0 at 0 and the power at alpha.
+    whose CDF is 0 at 0 and the power at alpha.  At power 0 or 1 the
+    shift is infinite and the CDF takes its limit, the power, on (0, alpha].
     """
     a, power = design.alpha, design.power
 
     def cdf(x):
         if x == 0.0:
             return 0.0
-        if x == a:
+        if x == a or power in (0.0, 1.0):
             return power
         return power_at_new_cutoff(power, a, x)
 
@@ -248,9 +240,7 @@ def rr_ratio(design_new: TestDesign, design_old: TestDesign, h: float, psi: floa
     return rr_regime(design_new, h, psi) / old
 
 
-class PsiSolution(NamedTuple):
-    psi: float
-    achievable: bool
+PsiSolution = namedtuple("PsiSolution", "psi achievable")
 
 
 def solve_psi_for_rr_ratio(

@@ -19,7 +19,7 @@ generator name is recorded in the outcome.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import DegenerateConfigError
 from .rates import HackingRegime, TestDesign, _norm, fpr_regime, normal_shift_delta, resolve_psi, rr_regime
@@ -32,30 +32,29 @@ GENERATOR_NAME = "numpy-PCG64"
 CHUNK = 2**20
 
 
-@dataclass(frozen=True)
-class SimConfig:
+class SimConfig(namedtuple("SimConfig", "n_tests seed design hacking cutoff")):
     """Simulation parameters.  ``design.beta`` is interpreted at
     ``cutoff``, the operative significance level."""
 
-    n_tests: int
-    seed: int
-    design: TestDesign
-    hacking: HackingRegime
-    cutoff: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n_tests < 1:
+    def __new__(cls, n_tests: int, seed: int, design: TestDesign, hacking: HackingRegime,
+                cutoff: float):
+        if n_tests < 1:
             raise DegenerateConfigError("n_tests must be >= 1")
-        if self.seed < 0:
-            raise DegenerateConfigError(f"seed={self.seed} must be >= 0")
-        if not (0.0 < self.cutoff <= self.hacking.baseline_alpha):
+        if seed < 0:
+            raise DegenerateConfigError(f"seed={seed} must be >= 0")
+        if not (0.0 < cutoff <= hacking.baseline_alpha):
             raise DegenerateConfigError(
-                f"cutoff={self.cutoff} must lie in (0, baseline_alpha={self.hacking.baseline_alpha}]"
+                f"cutoff={cutoff} must lie in (0, baseline_alpha={hacking.baseline_alpha}]"
             )
+        return tuple.__new__(cls, (n_tests, seed, design, hacking, cutoff))
 
 
-@dataclass(frozen=True)
-class SimOutcome:
+class SimOutcome(namedtuple("SimOutcome", (
+        "n_tests seed generator sound_true_reject sound_true_notreject unsound_reject "
+        "unsound_notreject sound_false_reject sound_false_notreject n_sound_true n_unsound "
+        "n_sound_false empirical_fpr empirical_rr se_fpr se_rr empty_denominator"))):
     """Cell counts of the outcome table plus empirical rates.
 
     Rates are NaN with ``empty_denominator=True`` when no study is
@@ -63,23 +62,7 @@ class SimOutcome:
     count.
     """
 
-    n_tests: int
-    seed: int
-    generator: str
-    sound_true_reject: int
-    sound_true_notreject: int
-    unsound_reject: int
-    unsound_notreject: int
-    sound_false_reject: int
-    sound_false_notreject: int
-    n_sound_true: int
-    n_unsound: int
-    n_sound_false: int
-    empirical_fpr: float
-    empirical_rr: float
-    se_fpr: float
-    se_rr: float
-    empty_denominator: bool
+    __slots__ = ()
 
     @property
     def n_significant(self) -> int:
@@ -166,20 +149,11 @@ def simulate(config: SimConfig) -> SimOutcome:
     )
 
 
-@dataclass(frozen=True)
-class CheckRow:
-    name: str
-    closed_form: float
-    empirical: float
-    z_score: float
-    ok: bool
+CheckRow = namedtuple("CheckRow", "name closed_form empirical z_score ok")
 
 
-@dataclass(frozen=True)
-class CrosscheckReport:
-    outcome: SimOutcome
-    rows: tuple[CheckRow, ...]
-    empty_denominator: bool
+class CrosscheckReport(namedtuple("CrosscheckReport", "outcome rows empty_denominator")):
+    __slots__ = ()
 
     @property
     def all_ok(self) -> bool:

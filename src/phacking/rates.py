@@ -16,11 +16,12 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import CutoffAboveBaselineError, DegenerateDesignError, DomainError
 
 __all__ = [
+    "DEFAULT_PHI",
     "TestDesign",
     "DirectPsi",
     "InterpolatedPsi",
@@ -47,6 +48,9 @@ __all__ = [
 #: the source reports two decimals.
 IDENTITY_ATOL = 1e-12
 
+#: phi for prior odds 1:10 in favor of H1, the paper's default.
+DEFAULT_PHI = 10.0 / 11.0
+
 
 def _check_prob(name, value, *, lo=0.0, hi=1.0, open_lo=False, open_hi=False):
     if not (lo <= value <= hi) or (open_lo and value == lo) or (open_hi and value == hi):
@@ -55,8 +59,7 @@ def _check_prob(name, value, *, lo=0.0, hi=1.0, open_lo=False, open_hi=False):
         raise DomainError(f"{name}={value!r} outside {lo_b}{lo}, {hi}{hi_b}")
 
 
-@dataclass(frozen=True)
-class TestDesign:
+class TestDesign(namedtuple("TestDesign", "alpha beta phi")):
     """Significance level, Type-II error rate and true-null proportion
     for a family of tests.
 
@@ -64,14 +67,13 @@ class TestDesign:
     rejection probability of a sound test of a false null at this cutoff.
     """
 
-    alpha: float
-    beta: float
-    phi: float
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_prob("alpha", self.alpha, open_lo=True, open_hi=True)
-        _check_prob("beta", self.beta)
-        _check_prob("phi", self.phi)
+    def __new__(cls, alpha: float, beta: float, phi: float):
+        _check_prob("alpha", alpha, open_lo=True, open_hi=True)
+        _check_prob("beta", beta)
+        _check_prob("phi", phi)
+        return tuple.__new__(cls, (alpha, beta, phi))
 
     @property
     def power(self) -> float:
@@ -88,8 +90,7 @@ class TestDesign:
         return TestDesign(alpha, self.beta, self.phi)
 
 
-@dataclass(frozen=True)
-class InterpolatedPsi:
+class InterpolatedPsi(namedtuple("InterpolatedPsi", "pi naive_cdf")):
     """Persistence interpolated between the naive CDF value of hacked
     P-values below the new cutoff (pi = 0) and full persistence (pi = 1):
     resolved psi = pi + (1 - pi) * naive_cdf.
@@ -98,12 +99,12 @@ class InterpolatedPsi:
     any interpolated persistence with the same pi is at least this large.
     """
 
-    pi: float
-    naive_cdf: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_prob("pi", self.pi)
-        _check_prob("naive_cdf", self.naive_cdf)
+    def __new__(cls, pi: float, naive_cdf: float = 0.0):
+        _check_prob("pi", pi)
+        _check_prob("naive_cdf", naive_cdf)
+        return tuple.__new__(cls, (pi, naive_cdf))
 
     @property
     def value(self) -> float:
@@ -121,18 +122,17 @@ def LowerBoundPsi(pi: float) -> InterpolatedPsi:
     return InterpolatedPsi(pi)
 
 
-@dataclass(frozen=True)
-class HackingRegime:
+class HackingRegime(namedtuple("HackingRegime", "h baseline_alpha psi_spec")):
     """Hacking rate plus a persistence specification relative to a
     baseline cutoff (at which all hacked P-values are significant)."""
 
-    h: float
-    baseline_alpha: float = 0.05
-    psi_spec: InterpolatedPsi = InterpolatedPsi(1.0)
+    __slots__ = ()
 
-    def __post_init__(self):
-        _check_prob("h", self.h, open_hi=True)
-        _check_prob("baseline_alpha", self.baseline_alpha, open_lo=True, open_hi=True)
+    def __new__(cls, h: float, baseline_alpha: float = 0.05,
+                psi_spec: InterpolatedPsi = InterpolatedPsi(1.0)):
+        _check_prob("h", h, open_hi=True)
+        _check_prob("baseline_alpha", baseline_alpha, open_lo=True, open_hi=True)
+        return tuple.__new__(cls, (h, baseline_alpha, psi_spec))
 
 
 def resolve_psi(regime: HackingRegime, new_alpha: float) -> float:
@@ -152,8 +152,9 @@ def resolve_psi(regime: HackingRegime, new_alpha: float) -> float:
     return regime.psi_spec.value
 
 
-@dataclass(frozen=True)
-class OutcomeTable:
+class OutcomeTable(namedtuple("OutcomeTable", (
+        "sound_true_reject sound_true_notreject unsound_reject unsound_notreject "
+        "sound_false_reject sound_false_notreject phi_sound mass_unsound mass_sound_false"))):
     """The nine-cell proportion table: sound/unsound columns split by
     H0 status and reject/not-reject rows, plus the three column masses.
 
@@ -161,17 +162,10 @@ class OutcomeTable:
     reduces to the classical no-hacking proportions.
     """
 
-    sound_true_reject: float
-    sound_true_notreject: float
-    unsound_reject: float
-    unsound_notreject: float
-    sound_false_reject: float
-    sound_false_notreject: float
-    phi_sound: float
-    mass_unsound: float
-    mass_sound_false: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         for name, cell in self.cells().items():
             if cell < 0:
                 raise DomainError(f"negative cell {name}={cell}")
@@ -186,6 +180,7 @@ class OutcomeTable:
         for got, declared in checks:
             if abs(got - declared) > IDENTITY_ATOL:
                 raise DomainError(f"column sum {got} != declared mass {declared}")
+        return self
 
     def cells(self) -> dict[str, float]:
         return {
@@ -210,14 +205,13 @@ class OutcomeTable:
         return Rates(fpr=fpr, rr=self.sound_false_reject / total)
 
 
-@dataclass(frozen=True)
-class Rates:
-    fpr: float
-    rr: float
+class Rates(namedtuple("Rates", "fpr rr")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if abs(self.fpr + self.rr - 1.0) > IDENTITY_ATOL:
-            raise DomainError(f"fpr + rr = {self.fpr + self.rr} != 1")
+    def __new__(cls, fpr: float, rr: float):
+        if abs(fpr + rr - 1.0) > IDENTITY_ATOL:
+            raise DomainError(f"fpr + rr = {fpr + rr} != 1")
+        return tuple.__new__(cls, (fpr, rr))
 
 
 def masses(design: TestDesign, h: float = 0.0, psi: float = 1.0) -> tuple[float, float]:

@@ -3,7 +3,7 @@ heatmaps, no external assets."""
 
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 WIDTH = 720
 HEIGHT = 480

@@ -10,11 +10,11 @@ view.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from . import svg
 from .errors import DomainError, UnsupportedShapeError
-from .rates import InterpolatedPsi, TestDesign, fpr_bound, fpr_hacked, fpr_sound, rr_sound
+from .rates import DEFAULT_PHI, InterpolatedPsi, TestDesign, fpr_bound, fpr_hacked, fpr_sound, rr_sound
 from .estimator import rr_ratio
 
 __all__ = [
@@ -31,8 +31,6 @@ __all__ = [
     "render_svg",
 ]
 
-#: phi for prior odds 1:10 in favor of H1.
-DEFAULT_PHI = 10.0 / 11.0
 DEFAULT_BETA = 0.20
 
 _POWER_FINE = tuple(round(0.05 + 0.01 * i, 2) for i in range(95))  # 0.05 .. 0.99
@@ -42,18 +40,16 @@ _PI_GRID = tuple(round(0.005 * i, 3) for i in range(201))  # 0 .. 1
 _PSI_COARSE = tuple(round(0.05 * i, 2) for i in range(21))  # 0 .. 1
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(namedtuple("SweepResult", "figure_id kind axes columns rows metadata")):
     """A labeled grid: ``axes`` are (name, values) pairs, ``rows`` pair
     each row-major grid point with its value tuple (one entry per name
-    in ``columns``)."""
+    in ``columns``).  ``kind`` is "line" or "heatmap"."""
 
-    figure_id: str
-    kind: str  # "line" or "heatmap"
-    axes: tuple[tuple[str, tuple[float, ...]], ...]
-    columns: tuple[str, ...]
-    rows: tuple[tuple[tuple[float, ...], tuple[float, ...]], ...]
-    metadata: dict = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, figure_id, kind, axes, columns, rows, metadata=None):
+        return tuple.__new__(cls, (figure_id, kind, axes, columns, rows,
+                                   {} if metadata is None else metadata))
 
 
 def _sweep(figure_id, kind, axes, columns, cell, **metadata) -> SweepResult:

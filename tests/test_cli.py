@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from phacking.cli import main
+from phacking.sweeps import FIGURES
 
 
 def run(capsys, *argv):
@@ -128,6 +132,15 @@ class TestFit:
         assert err.startswith("error:") and named in err
 
 
+    @pytest.mark.parametrize("flag", [["--power", "1"], ["--beta", "0"]], ids=["power-1", "beta-0"])
+    def test_clustered_at_full_power(self, capsys, flag):
+        # the split takes its limit at power 1: no stratum's rate moves with h
+        code, _, err = run(capsys, "fit", "--builtin", "psych-rep", "--stratified",
+                           "--model", "threshold_clustering", *flag)
+        assert "power and alpha must lie in (0, 1)" not in err
+        assert (code, err) == (3, "error: no stratum admitted a root\n")
+
+
 class TestSweep:
     def test_figure1(self, capsys, tmp_path):
         code, out, _ = run(capsys, "sweep", "--figure", "1", "--out", str(tmp_path))
@@ -145,6 +158,13 @@ class TestSweep:
         csv = (tmp_path / "figure5_h0.15.csv").read_text()
         assert "below_one" in csv.splitlines()[0]
         assert (tmp_path / "figure5_h0.15.svg").read_text().startswith("<?xml")
+
+    def test_help_names_every_figure(self, capsys):
+        assert main(["sweep", "--help"]) == 0
+        out = " ".join(capsys.readouterr().out.split())
+        assert "figure id: " + ", ".join(map(str, FIGURES)) in out
+        taking_h = [str(figure) for figure, (_, default_hs) in FIGURES.items() if default_hs]
+        assert "hacking rate for figures " + " and ".join(taking_h) in out
 
     def test_unknown_figure_exit_2(self, capsys, tmp_path):
         code, _, err = run(capsys, "sweep", "--figure", "9", "--out", str(tmp_path))
@@ -238,3 +258,19 @@ class TestUnwritableOut:
         code, _, err = run(capsys, *command, "--out", str(tmp_path / out))
         assert code == 3
         assert err.startswith("error: cannot write") and "Traceback" not in err
+
+
+def test_closed_stdout_exit_3():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # closed before the child writes
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "from phacking.cli import entry; entry()",
+             "fit", "--builtin", "psych-rep", "--stratified", "--power", "1"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=120, check=False,
+            env={**os.environ, "PYTHONPATH": path})
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (3, "error: cannot write stdout: Broken pipe\n")

@@ -177,6 +177,14 @@ class TestFitHStratified:
         assert 0.0 < root < 1.0
         assert abs(_clustered_stratum_rate(design, stratum, root) - rate) <= 1e-12
 
+    @pytest.mark.parametrize("power, near", [(1.0, 1.0 - 1e-12), (0.0, 1e-12)],
+                             ids=["power-1", "power-0"])
+    def test_split_at_extreme_power_is_the_limit(self, power, near):
+        for stratum in (*PSYCH_REP.strata, ReplicationStratum(0.01, 0.03, 10, 5)):
+            at = _stratum_split(TestDesign(0.05, 1.0 - power, PHI), stratum)
+            close = _stratum_split(TestDesign(0.05, 1.0 - near, PHI), stratum)
+            assert at == pytest.approx(close, rel=0.0, abs=1e-9)
+
     def test_requires_strata(self):
         with pytest.raises(DomainError):
             fit_h_stratified(ReplicationData(total=10, replicated=4), OLD)
