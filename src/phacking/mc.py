@@ -10,15 +10,20 @@ so the rejection probability at the operative cutoff equals the power.
 Replication is perfect: a significant sound true positive replicates,
 nothing else does.
 
-The generator is numpy's PCG64 (via ``default_rng``), drawn ``CHUNK``
-studies at a time in a fixed order, so a given (seed, n_tests, parameters)
-always produces identical output on any platform, in bounded memory.  The
-generator name is recorded in the outcome.
+Only the six cell counts are kept, and they are Multinomial(n, p), so
+they are drawn as five conditional binomials rather than study by
+study: time and memory do not grow with n.  Each binomial is exact:
+Devroye's (1986) geometric waiting times when n*p < 10, otherwise
+Hormann's (1993) BTRS transformed rejection with an accurate log-pmf
+ratio.  All draws come from one ``random.Random(seed)`` (MT19937) in a
+fixed order, so a given (seed, n_tests, parameters) always produces
+identical counts.  The generator name is recorded in the outcome.
 """
 
 from __future__ import annotations
 
 import math
+import random
 from collections import namedtuple
 
 from .errors import DegenerateConfigError
@@ -26,10 +31,11 @@ from .rates import HackingRegime, TestDesign, _norm, fpr_regime, normal_shift_de
 
 __all__ = ["SimConfig", "SimOutcome", "CheckRow", "CrosscheckReport", "simulate", "crosscheck"]
 
-GENERATOR_NAME = "numpy-PCG64"
+GENERATOR_NAME = "python-MT19937-binomial"
 
-#: Studies drawn and counted at a time.
-CHUNK = 2**20
+#: Largest n_tests: beyond 2**53 a float no longer holds every integer, so
+#: the rejection sampler could not reach every count.
+MAX_TESTS = 2**53
 
 
 class SimConfig(namedtuple("SimConfig", "n_tests seed design hacking cutoff")):
@@ -40,8 +46,8 @@ class SimConfig(namedtuple("SimConfig", "n_tests seed design hacking cutoff")):
 
     def __new__(cls, n_tests: int, seed: int, design: TestDesign, hacking: HackingRegime,
                 cutoff: float):
-        if n_tests < 1:
-            raise DegenerateConfigError("n_tests must be >= 1")
+        if not 1 <= n_tests <= MAX_TESTS:
+            raise DegenerateConfigError(f"n_tests={n_tests} must lie in [1, 2**53]")
         if seed < 0:
             raise DegenerateConfigError(f"seed={seed} must be >= 0")
         if not (0.0 < cutoff <= hacking.baseline_alpha):
@@ -81,41 +87,27 @@ class SimOutcome(namedtuple("SimOutcome", (
 
 def simulate(config: SimConfig) -> SimOutcome:
     """Run the simulation; deterministic for a fixed config."""
-    import numpy as np
-
     n = config.n_tests
     design = config.design
-    h = config.hacking.h
     cutoff = config.cutoff
     psi = resolve_psi(config.hacking, cutoff)
-    # A sound false-null study rejects when z_alt + delta > z_crit: always
-    # at beta = 0, never at beta = 1.
+    # A sound false-null study rejects when z_alt + delta > z_crit, with
+    # z_alt standard normal: always at beta = 0, never at beta = 1.
     if design.beta in (0.0, 1.0):
-        delta = math.inf if design.beta == 0.0 else -math.inf
+        power = 1.0 - design.beta
     else:
         delta = normal_shift_delta(1.0 - design.beta, cutoff)
-    z_crit = -_norm().inv_cdf(cutoff)
+        z_crit = -_norm().inv_cdf(cutoff)
+        power = 0.5 * math.erfc((z_crit - delta) / math.sqrt(2.0))
 
-    rng = np.random.default_rng(config.seed)
-    str_ = sfr = ur = n_sound_true = n_sound_false = n_unsound = 0
-    for start in range(0, n, CHUNK):
-        m = min(CHUNK, n - start)
-        # Fixed draw order, one vector per decision, so results do not
-        # depend on branch frequencies.
-        u_hack = rng.random(m)
-        u_null = rng.random(m)
-        u_pnull = rng.random(m)
-        z_alt = rng.standard_normal(m)
-        u_hacksig = rng.random(m)
-        hacked = u_hack < h
-        h0_true = ~hacked & (u_null < design.phi)
-        h0_false = ~(hacked | h0_true)
-        str_ += int(np.count_nonzero(h0_true & (u_pnull < cutoff)))
-        sfr += int(np.count_nonzero(h0_false & (z_alt + delta > z_crit)))
-        ur += int(np.count_nonzero(hacked & (u_hacksig < psi)))
-        n_sound_true += int(np.count_nonzero(h0_true))
-        n_sound_false += int(np.count_nonzero(h0_false))
-        n_unsound += int(np.count_nonzero(hacked))
+    rng = random.Random(config.seed)
+    # Fixed draw order: each count given the ones drawn before it.
+    n_unsound = _binomial(rng, n, config.hacking.h)
+    ur = _binomial(rng, n_unsound, psi)
+    n_sound_true = _binomial(rng, n - n_unsound, design.phi)
+    n_sound_false = n - n_unsound - n_sound_true
+    str_ = _binomial(rng, n_sound_true, cutoff)
+    sfr = _binomial(rng, n_sound_false, power)
 
     n_sig = str_ + sfr + ur
     if n_sig == 0:
@@ -179,3 +171,84 @@ def crosscheck(config: SimConfig, z_limit: float = 4.0) -> CrosscheckReport:
         z = 0.0 if se == 0.0 and emp == closed else (emp - closed) / se if se > 0.0 else math.inf
         rows.append(CheckRow(name=name, closed_form=closed, empirical=emp, z_score=z, ok=abs(z) <= z_limit))
     return CrosscheckReport(outcome=outcome, rows=tuple(rows), empty_denominator=False)
+
+
+def _binomial(rng: random.Random, n: int, p: float) -> int:
+    """One exact Bin(n, p) draw for n <= 2**53, using only ``rng.random()``."""
+    if p > 0.5:
+        return n - _binomial(rng, n, 1.0 - p)  # 1 - p is exact here
+    if n == 0 or p == 0.0:
+        return 0
+    if n * p < 10.0:
+        # Geometric waiting times (Devroye 1986): the count is the number
+        # of successes whose wait ends within the n trials.
+        c = math.log1p(-p)
+        k = trials = 0
+        while True:
+            wait = math.log(1.0 - rng.random()) / c  # floor(wait) failures, then a success
+            if wait >= n - trials:
+                return k
+            trials += math.floor(wait) + 1
+            k += 1
+
+    # BTRS (Hormann 1993): transformed rejection with a squeeze.
+    spq = math.sqrt(n * p * (1.0 - p))
+    b = 1.15 + 2.53 * spq
+    a = -0.0873 + 0.0248 * b + 0.01 * p
+    c = n * p + 0.5
+    vr = 0.92 - 4.2 / b
+    alpha = (2.83 + 5.1 / b) * spq
+    log_at_mode = _log_pmf(n, math.floor((n + 1) * p), p)
+    while True:
+        u = rng.random() - 0.5
+        us = 0.5 - abs(u)
+        if us == 0.0:  # random() returned 0.0
+            continue
+        k = math.floor((2.0 * a / us + b) * u + c)
+        if k < 0 or k > n:
+            continue
+        v = 1.0 - rng.random()  # in (0, 1], so log(v) is finite
+        if us >= 0.07 and v <= vr:
+            return k
+        v *= alpha / (a / (us * us) + b)
+        if math.log(v) <= _log_pmf(n, k, p) - log_at_mode:
+            return k
+
+
+def _log_pmf(n: int, k: int, p: float) -> float:
+    """log of the Bin(n, p) probability of k, by Loader's (2000) saddle
+    point form: unlike a difference of lgammas, which loses whole units
+    once n nears 2**53, it keeps full relative accuracy."""
+    q = 1.0 - p
+    if k == 0:
+        return -_bd0(n, n * q) - n * p
+    if k == n:
+        return -_bd0(n, n * p) - n * q
+    return (_stirlerr(n) - _stirlerr(k) - _stirlerr(n - k) - _bd0(k, n * p) - _bd0(n - k, n * q)
+            + 0.5 * math.log(n / (math.tau * k * (n - k))))
+
+
+def _stirlerr(n: int) -> float:
+    """log(n!) - log(sqrt(2*pi*n) * (n/e)**n) for n >= 1."""
+    if n <= 15:
+        return math.lgamma(n + 1.0) - (n + 0.5) * math.log(n) + n - 0.5 * math.log(math.tau)
+    nn = float(n) * n
+    return (1 / 12 - (1 / 360 - (1 / 1260 - 1 / (1680 * nn)) / nn) / nn) / n
+
+
+def _bd0(x: int, m: float) -> float:
+    """x*log(x/m) + m - x for x >= 1, without cancellation when x is near m."""
+    if abs(x - m) < 0.1 * (x + m):
+        v = (x - m) / (x + m)
+        s = (x - m) * v
+        term = 2.0 * x * v
+        v *= v
+        j = 1
+        while True:
+            term *= v
+            j += 2
+            s1 = s + term / j
+            if s1 == s:
+                return s
+            s = s1
+    return x * math.log(x / m) + m - x

@@ -7,6 +7,7 @@ from pathlib import Path
 import pytest
 
 from phacking.cli import main
+from phacking.mc import GENERATOR_NAME
 from phacking.sweeps import FIGURES
 
 
@@ -181,7 +182,7 @@ class TestSimulate:
         record = json.loads(out)
         assert abs(record["empirical_fpr"] - 0.3846) <= 3 * record["se_fpr"] + 5e-4
         assert all(abs(row["z_score"]) <= 4 for row in record["crosscheck"])
-        assert record["generator"] == "numpy-PCG64"
+        assert record["generator"] == GENERATOR_NAME
 
     def test_single_draw(self, capsys):
         code, out, _ = run(capsys, "simulate", "--n", "1", "--seed", "7")
@@ -204,6 +205,14 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--n", "1000", "--seed", "-1")
         assert code == 3
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_n_beyond_2_53_exit_3(self, capsys):
+        code, _, err = run(capsys, "simulate", "--n", str(2**53 + 1))
+        assert code == 3
+        assert err.startswith("error:") and "n_tests" in err
+        code, out, _ = run(capsys, "simulate", "--n", str(2**53), "--h", "0.05")
+        assert code == 0
+        assert sum(json.loads(out)["cells"].values()) == 2**53
 
 
 class TestReproduce:

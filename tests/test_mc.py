@@ -1,8 +1,15 @@
+import bisect
 import math
+import random
+import time
 import tracemalloc
+from statistics import NormalDist
 
+import numpy as np
 import pytest
-from scipy.stats import norm
+from hypothesis import given
+from hypothesis import strategies as st
+from scipy.stats import binom, chi2, norm
 
 from phacking import (
     DegenerateConfigError,
@@ -12,9 +19,12 @@ from phacking import (
     TestDesign,
     crosscheck,
     fpr_regime,
+    masses,
+    resolve_psi,
     simulate,
+    table_regime,
 )
-from phacking.mc import CHUNK, GENERATOR_NAME
+from phacking.mc import GENERATOR_NAME, MAX_TESTS, _binomial, _log_pmf
 from phacking.rates import normal_shift_delta
 
 PHI = 10.0 / 11.0
@@ -42,8 +52,7 @@ class TestSimulate:
         assert out.seed == 42
 
     def test_cell_conservation(self):
-        # the last case ends in a second chunk of one study
-        for seed, n in ((0, N), (1, N), (2, CHUNK + 1)):
+        for seed, n in ((0, N), (1, 10**12), (2, MAX_TESTS)):
             out = simulate(config(n=n, seed=seed, h=0.2, psi=0.3, cutoff=0.01))
             assert sum(out.cells().values()) == out.n_tests
             assert out.n_sound_true + out.n_unsound + out.n_sound_false == out.n_tests
@@ -96,7 +105,27 @@ class TestSimulate:
             finally:
                 tracemalloc.stop()
 
-        assert peak(4 * CHUNK) <= 1.5 * peak(CHUNK)
+        peak(10**3)  # first call imports statistics
+        assert peak(10**12) <= 1.5 * peak(10**3)
+
+    def test_time_flat_in_n(self):
+        def fastest(n):
+            cfg = config(n=n, h=0.1, psi=0.5, cutoff=0.005)
+            times = []
+            for _ in range(20):
+                t0 = time.perf_counter()
+                simulate(cfg)
+                times.append(time.perf_counter() - t0)
+            return min(times)
+
+        fastest(10**3)
+        assert fastest(10**12) <= 5 * fastest(10**3)
+
+    def test_largest_n(self):
+        out = simulate(config(n=MAX_TESTS, h=0.05))
+        assert sum(out.cells().values()) == MAX_TESTS
+        with pytest.raises(DegenerateConfigError):
+            config(n=MAX_TESTS + 1)
 
     def test_config_validation(self):
         with pytest.raises(DegenerateConfigError):
@@ -137,3 +166,112 @@ class TestCrosscheck:
         assert report.empty_denominator
         assert not report.all_ok
         assert math.isnan(report.outcome.empirical_rr)
+
+
+CELLS = ("sound_true_reject", "sound_true_notreject", "unsound_reject", "unsound_notreject",
+         "sound_false_reject", "sound_false_notreject")
+# h, psi, beta at the lowered cutoff 0.005 (psi counts only below the 0.05 baseline)
+CELL_GRID = [(h, psi, beta) for h in (0.0, 0.1) for psi in (0.0, 0.3, 1.0) for beta in (0.0, 0.2, 1.0)]
+
+
+class TestCellOracle:
+    def test_every_cell_matches_table_regime(self):
+        n = 10**6
+        z_bound = NormalDist().inv_cdf(1.0 - 1e-6 / (2 * len(CELLS) * len(CELL_GRID)))  # Bonferroni
+        for i, (h, psi, beta) in enumerate(CELL_GRID):
+            cfg = config(n=n, seed=500 + i, beta=beta, h=h, psi=psi, cutoff=0.005)
+            design = TestDesign(0.005, beta, PHI)
+            resolved = resolve_psi(cfg.hacking, cfg.cutoff)
+            table = table_regime(design, h, resolved)
+            fp, tp = masses(design, h, resolved)
+            assert table.sound_true_reject + table.unsound_reject == pytest.approx(fp, abs=1e-15)
+            assert table.sound_false_reject == pytest.approx(tp, abs=1e-15)
+            cells = simulate(cfg).cells()
+            for cell in CELLS:
+                p = getattr(table, cell)
+                if p in (0.0, 1.0):
+                    assert cells[cell] == n * p, (h, psi, beta, cell)
+                    continue
+                z = (cells[cell] - n * p) / math.sqrt(n * p * (1.0 - p))
+                assert abs(z) <= z_bound, (h, psi, beta, cell, z)
+
+
+def chi_square_pvalue(draws, n, p, bins=20):
+    """Pearson chi-square p-value of ``draws`` against Bin(n, p), binned at
+    about ``bins`` quantiles."""
+    dist = binom(n, p)
+    edges = sorted({int(k) for k in dist.ppf(np.linspace(0.0, 1.0, bins + 1)[1:-1])} - {n})
+    probs = np.diff([0.0, *dist.cdf(edges), 1.0])
+    observed = np.bincount([bisect.bisect_left(edges, k) for k in draws], minlength=len(probs))
+    expected = len(draws) * probs
+    return chi2.sf(float(np.sum((observed - expected) ** 2 / expected)), len(probs) - 1)
+
+
+# (n, p): geometric waits just below n*p = 10, BTRS just above, p > 0.5
+# through both, n = 0 and 1, huge n on both branches
+BINOMIAL_GRID = [
+    (1000, 0.0099), (1000, 0.0101), (12, 0.9), (200, 0.8), (1, 0.3), (40, 0.5),
+    (10**12, 0.3), (10**12, 5e-12), (10**12, 1.0 - 2**-40),
+]
+
+
+class TestBinomial:
+    def test_chi_square_against_exact_pmf(self):
+        for i, (n, p) in enumerate(BINOMIAL_GRID):
+            rng = random.Random(i)
+            draws = [_binomial(rng, n, p) for _ in range(20_000)]
+            assert chi_square_pvalue(draws, n, p) > 1e-4 / len(BINOMIAL_GRID), (n, p)
+
+    @pytest.mark.parametrize("n, p, want", [(0, 0.3, 0), (0, 1.0, 0), (5, 0.0, 0), (5, 1.0, 5),
+                                            (10**12, 0.0, 0), (10**12, 1.0, 10**12), (1, 0.0, 0),
+                                            (1, 1.0, 1)])
+    def test_degenerate(self, n, p, want):
+        rng = random.Random(0)
+        assert {_binomial(rng, n, p) for _ in range(100)} == {want}
+
+    @given(st.integers(0, MAX_TESTS), st.floats(0.0, 1.0), st.integers(0, 2**32))
+    def test_within_range(self, n, p, seed):
+        assert 0 <= _binomial(random.Random(seed), n, p) <= n
+
+    def test_random_zero_is_drawn_safely(self):
+        class Zeros(random.Random):
+            """Returns 0.0 first, then the ordinary stream."""
+
+            def __init__(self):
+                super().__init__(1)
+                self.zeros = 2
+
+            def random(self):
+                if self.zeros:
+                    self.zeros -= 1
+                    return 0.0
+                return super().random()
+
+        for n, p in ((1000, 0.005), (10**6, 0.4)):
+            assert 0 <= _binomial(Zeros(), n, p) <= n
+
+    def test_log_pmf_is_accurate(self):
+        for n, p in ((50, 0.3), (1000, 0.01), (40, 0.5)):
+            for k in (0, 1, n // 3, n - 1, n):
+                exact = math.log(math.comb(n, k)) + k * math.log(p) + (n - k) * math.log1p(-p)
+                assert _log_pmf(n, k, p) == pytest.approx(exact, abs=1e-12)
+        # near 2**53 a difference of lgammas is off by whole units; check the
+        # ratio of neighbours and the value at the mode instead
+        n, p = MAX_TESTS, 0.3
+        mode = math.floor((n + 1) * p)
+        assert _log_pmf(n, mode, p) == pytest.approx(-0.5 * math.log(math.tau * n * p * (1 - p)), abs=1e-12)
+        for k in (mode - 10**8, mode + 1, mode + 5 * 10**8):
+            ratio = math.log((n - k + 1) * p / (k * (1 - p)))
+            assert _log_pmf(n, k, p) - _log_pmf(n, k - 1, p) == pytest.approx(ratio, abs=1e-14)
+
+    def test_pinned_counts(self):
+        # identical on every Python version: the stream is random.Random's
+        pinned = {
+            (0, 10**6, 0.15, 0.3, 0.2, 0.005): (3917, 768429, 45083, 105327, 61802, 15442),
+            (12345, 10**12, 0.05, 1.0, 0.2, 0.05): (43181729215, 820454385233, 49999948550, 0,
+                                                    69091127727, 17272809275),
+            (7, 1000, 0.3, 0.5, 0.5, 0.01): (9, 650, 147, 145, 25, 24),
+        }
+        for (seed, n, h, psi, beta, cutoff), want in pinned.items():
+            cells = simulate(config(n=n, seed=seed, h=h, psi=psi, beta=beta, cutoff=cutoff)).cells()
+            assert tuple(cells.values()) == want, (seed, n, cells)

@@ -29,13 +29,13 @@ from phacking.mc import CheckRow, CrosscheckReport
 DESIGN = TestDesign(0.05, 0.2, 0.9)
 REGIME = HackingRegime(0.1)
 STRATUM = ReplicationStratum(0.0, 0.005, 47, 24)
-OUTCOME_ARGS = (10, 1, "numpy-PCG64", 0, 9, 1, 0, 0, 0, 9, 1, 0, 1.0, 0.0, 0.0, 0.0, False)
+OUTCOME_ARGS = (10, 1, "python-MT19937-binomial", 0, 9, 1, 0, 0, 0, 9, 1, 0, 1.0, 0.0, 0.0, 0.0, False)
 ROW = CheckRow("fpr", 0.5, 0.5, 0.0, True)
 TABLE_ARGS = (0.25, 0.25, 0.0, 0.0, 0.25, 0.25, 0.5, 0.0, 0.5)
 
 _REGIME_REPR = "HackingRegime(h=0.1, baseline_alpha=0.05, psi_spec=InterpolatedPsi(pi=1.0, naive_cdf=0.0))"
 _OUTCOME_REPR = (
-    "SimOutcome(n_tests=10, seed=1, generator='numpy-PCG64', sound_true_reject=0, "
+    "SimOutcome(n_tests=10, seed=1, generator='python-MT19937-binomial', sound_true_reject=0, "
     "sound_true_notreject=9, unsound_reject=1, unsound_notreject=0, sound_false_reject=0, "
     "sound_false_notreject=0, n_sound_true=9, n_unsound=1, n_sound_false=0, empirical_fpr=1.0, "
     "empirical_rr=0.0, se_fpr=0.0, se_rr=0.0, empty_denominator=False)"
