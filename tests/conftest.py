@@ -1,5 +1,5 @@
 from hypothesis import settings
 
 # Fixed examples, so every run of the suite checks the same cases.
-settings.register_profile("fixed", derandomize=True, deadline=None)
+settings.register_profile("fixed", derandomize=True)
 settings.load_profile("fixed")
