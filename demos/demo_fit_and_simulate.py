@@ -7,7 +7,6 @@ Run: python3 demos/demo_fit_and_simulate.py
 
 from phacking import (
     PSYCH_REP,
-    DirectPsi,
     HackingRegime,
     SimConfig,
     TestDesign,
@@ -45,7 +44,7 @@ for hh, cutoff in ((0.0, 0.05), (0.05, 0.05), (0.15, 0.005)):
         n_tests=10**6,
         seed=42,
         design=TestDesign(cutoff, 0.20, phi),
-        hacking=HackingRegime(hh, 0.05, DirectPsi(1.0)),
+        hacking=HackingRegime(hh, 0.05, psi=1.0),
         cutoff=cutoff,
     )
     report = crosscheck(cfg)

@@ -19,10 +19,10 @@ _EXPORTS = {
         "DomainError", "ModelError", "NoRootError", "UnachievableError", "UnsupportedShapeError",
     ),
     "rates": (
-        "DirectPsi", "HackingRegime", "InterpolatedPsi", "LowerBoundPsi", "OutcomeTable",
-        "Rates", "TestDesign", "fpr_bound", "fpr_hacked", "fpr_regime", "fpr_sound", "masses",
+        "DirectPsi", "HackingRegime", "InterpolatedPsi", "OutcomeTable", "Rates", "TestDesign",
+        "fpr_bound", "fpr_hacked", "fpr_regime", "fpr_sound", "interpolated_psi", "masses",
         "power_at_new_cutoff", "resolve_psi", "rr_hacked", "rr_regime", "rr_sound",
-        "table_regime", "table_sound",
+        "table_regime",
     ),
     "estimator": (
         "PSYCH_REP", "HackingEstimate", "PsiSolution", "ReplicationData", "ReplicationStratum",

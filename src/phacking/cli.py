@@ -7,22 +7,22 @@ cannot be written.  Each subcommand imports the modules it runs when it
 runs.  The ``PHACKING_OUT_DIR`` environment variable sets the default output
 directory for file-writing subcommands.
 
-``--pi`` is read as its conservative bound psi = pi, so ``--pi X`` and
-``--psi X`` resolve to the same persistence.  ``sweep --h`` applies
-only to the figures that take a hacking rate in ``sweeps.FIGURES``.
-``reproduce`` writes every figure and checks each entry of ``CLAIMS``.
+``--pi X`` is the persistence ``rates.interpolated_psi(X)``, the
+conservative bound psi = X, so it resolves as ``--psi X`` does.
+``sweep --h`` applies only to the figures that take a hacking rate in
+``sweeps.FIGURES``.  ``reproduce`` writes every figure and checks each
+entry of ``claims.CLAIMS``.  ``simulate`` prints the rates it cannot
+estimate, those with no significant study, as JSON ``null``.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
-from collections import namedtuple
 from pathlib import Path
-
-import phacking as ph  # the lazy package: CLAIMS load estimator on first use
 
 from . import rates
 from .errors import ModelError
@@ -73,11 +73,9 @@ def _design_from(args) -> rates.TestDesign:
 
 
 def _regime_from(args) -> rates.HackingRegime:
-    if args.pi is not None:
-        spec = rates.LowerBoundPsi(args.pi)
-    else:
-        spec = rates.DirectPsi(args.psi if args.psi is not None else 1.0)
-    return rates.HackingRegime(h=args.h, baseline_alpha=args.baseline_alpha, psi_spec=spec)
+    return rates.HackingRegime(args.h, args.baseline_alpha,
+                               rates.interpolated_psi(args.pi) if args.pi is not None
+                               else 1.0 if args.psi is None else args.psi)
 
 
 def _figure_id(text: str) -> int:
@@ -230,6 +228,11 @@ def cmd_sweep(args) -> int:
     return EXIT_OK
 
 
+def _finite_or_null(value: float) -> float | None:
+    """JSON has no NaN or infinity (RFC 8259), so such a value prints as null."""
+    return value if math.isfinite(value) else None
+
+
 def cmd_simulate(args) -> int:
     from . import mc
 
@@ -250,100 +253,24 @@ def cmd_simulate(args) -> int:
             "unsound": out.n_unsound,
             "sound_false": out.n_sound_false,
         },
-        "empirical_fpr": out.empirical_fpr,
-        "empirical_rr": out.empirical_rr,
-        "se_fpr": out.se_fpr,
-        "se_rr": out.se_rr,
+        "empirical_fpr": _finite_or_null(out.empirical_fpr),
+        "empirical_rr": _finite_or_null(out.empirical_rr),
+        "se_fpr": _finite_or_null(out.se_fpr),
+        "se_rr": _finite_or_null(out.se_rr),
         "empty_denominator": out.empty_denominator,
         "crosscheck": [row._asdict() for row in report.rows],
     })
     return EXIT_OK
 
 
-class Claim(namedtuple("Claim", "label compute want tol info", defaults=(False,))):
-    """One headline number: ``compute()`` must lie within ``tol`` of
-    ``want``.  ``info`` marks a documented gap between a derived value
-    and a number the source read off its own figures; it is reported as
-    INFO and fails only under ``reproduce --strict``."""
-
-    __slots__ = ()
-
-
-_OLD = rates.TestDesign(0.05, 0.20, rates.DEFAULT_PHI)
-_NEW_80 = rates.TestDesign(0.005, 0.20, rates.DEFAULT_PHI)
-_NEW_50 = rates.TestDesign(0.005, 0.50, rates.DEFAULT_PHI)
-
-
-def _fpr_claim(alpha: float, h: float, want: float) -> Claim:
-    design = rates.TestDesign(alpha, 0.20, rates.DEFAULT_PHI)
-    return Claim(f"fpr(alpha={alpha}, h={h}, power=0.80, psi=1)",
-                 lambda: rates.fpr_hacked(design, h), want, 0.005)
-
-
-def _h_fit() -> float:
-    return ph.fit_h(ph.PSYCH_REP, _OLD)
-
-
-def _doubling_psi(h: float) -> float:
-    return ph.solve_psi_for_rr_ratio(2.0, _NEW_80, _OLD, h).psi
-
-
-#: The paper's headline numbers, in report order.
-CLAIMS = (
-    _fpr_claim(0.05, 0.0, 0.38),
-    _fpr_claim(0.005, 0.0, 0.06),
-    _fpr_claim(0.05, 0.05, 0.57),
-    _fpr_claim(0.005, 0.05, 0.44),
-    _fpr_claim(0.05, 0.15, 0.75),
-    _fpr_claim(0.005, 0.15, 0.71),
-    Claim("rr_sound(0.05, power=0.80, odds 1:10)",
-          lambda: rates.rr_sound(_OLD), 0.615, 0.005),
-    Claim("psych-rep observed rate 36/97",
-          lambda: ph.PSYCH_REP.rate, 36.0 / 97.0, 0.0),
-    Claim("fit_h(36/97) within [0.070, 0.080]", _h_fit, 0.075, 0.005),
-    Claim("fit_h self-consistency: rr_hacked(h_fit) - 36/97",
-          lambda: rates.rr_hacked(_OLD, _h_fit()) - 36.0 / 97.0, 0.0, 1e-9),
-    Claim("paper h point estimate 0.075 vs derived root (documented gap)",
-          _h_fit, 0.075, 0.005, info=True),
-    Claim("stratified range low vs 0.05",
-          lambda: ph.fit_h_stratified(ph.PSYCH_REP, _OLD).range_low, 0.05, 0.03),
-    Claim("stratified range high vs 0.15",
-          lambda: ph.fit_h_stratified(ph.PSYCH_REP, _OLD).range_high, 0.15, 0.03),
-    Claim("rr ratio at power 0.50, h=0.05, psi=0.75",
-          lambda: ph.rr_ratio(_NEW_50, _OLD, 0.05, 0.75), 1.19, 0.01),
-    Claim("rr ratio at power 0.50, h=0.15, psi=1",
-          lambda: ph.rr_ratio(_NEW_50, _OLD, 0.15, 1.0), 0.81, 0.01),
-    Claim("rr at power 0.50, h=0.05, psi=0.75",
-          lambda: rates.rr_regime(_NEW_50, 0.05, 0.75), 0.51, 0.005),
-    Claim("rr at power 0.50, h=0.15, psi=1",
-          lambda: rates.rr_regime(_NEW_50, 0.15, 1.0), 0.20, 0.005),
-    Claim("doubling persistence threshold at h=0.05",
-          lambda: _doubling_psi(0.05), 0.154, 0.02),
-    Claim("doubling threshold at h=0.15: derived root vs figure-read 0.35 (documented gap)",
-          lambda: _doubling_psi(0.15), 0.35, 0.02, info=True),
-    Claim("bound FPR at pi=0.25, h=0.15 exceeds 0.20",
-          lambda: float(rates.fpr_bound(_NEW_80, 0.15, 0.25) > 0.20), 1.0, 0.0),
-)
-
-
 def cmd_reproduce(args) -> int:
-    from . import sweeps
+    from . import claims, sweeps
 
     out = _out_dir(args)
     written = []
     for figure in sweeps.FIGURES:
         written.extend(_write_results(sweeps.figure_results(figure), out, want_svg=True))
-    failures = 0
-    for claim in CLAIMS:
-        got = claim.compute()
-        ok = abs(got - claim.want) <= claim.tol
-        if claim.info and not args.strict:
-            status = "INFO"
-        else:
-            status = "PASS" if ok else "FAIL"
-            failures += not ok
-        print(f"{status:4s}  {claim.label}: computed {got:.6g}, "
-              f"reference {claim.want:.6g}, tol {claim.tol:g}")
+    failures = claims.report(args.strict)
     print(f"wrote {sum(1 for p in written if p.suffix == '.csv')} CSV and "
           f"{sum(1 for p in written if p.suffix == '.svg')} SVG files to {out}")
     return EXIT_OK if failures == 0 else EXIT_REPRODUCE_FAIL

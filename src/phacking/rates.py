@@ -23,16 +23,13 @@ from .errors import CutoffAboveBaselineError, DegenerateDesignError, DomainError
 __all__ = [
     "DEFAULT_PHI",
     "TestDesign",
-    "DirectPsi",
-    "InterpolatedPsi",
-    "LowerBoundPsi",
+    "interpolated_psi",
     "HackingRegime",
     "OutcomeTable",
     "Rates",
     "masses",
     "fpr_sound",
     "rr_sound",
-    "table_sound",
     "fpr_hacked",
     "rr_hacked",
     "resolve_psi",
@@ -90,55 +87,43 @@ class TestDesign(namedtuple("TestDesign", "alpha beta phi")):
         return TestDesign(alpha, self.beta, self.phi)
 
 
-class InterpolatedPsi(namedtuple("InterpolatedPsi", "pi naive_cdf")):
+def interpolated_psi(pi: float, naive_cdf: float = 0.0) -> float:
     """Persistence interpolated between the naive CDF value of hacked
     P-values below the new cutoff (pi = 0) and full persistence (pi = 1):
-    resolved psi = pi + (1 - pi) * naive_cdf.
+    pi + (1 - pi) * naive_cdf.
 
     The default naive_cdf = 0 is the conservative lower bound psi = pi:
     any interpolated persistence with the same pi is at least this large.
     """
+    _check_prob("pi", pi)
+    _check_prob("naive_cdf", naive_cdf)
+    return pi + (1.0 - pi) * naive_cdf
+
+
+# The benchmark in perfbench/ is the only caller of these two names, and it
+# changes only together with the benchmark; delete them when it does.
+InterpolatedPsi = interpolated_psi
+DirectPsi = float
+
+
+class HackingRegime(namedtuple("HackingRegime", "h baseline_alpha psi")):
+    """Hacking rate plus the persistence ``psi`` of hacked P-values below a
+    baseline cutoff, at which all hacked P-values are significant."""
 
     __slots__ = ()
 
-    def __new__(cls, pi: float, naive_cdf: float = 0.0):
-        _check_prob("pi", pi)
-        _check_prob("naive_cdf", naive_cdf)
-        return tuple.__new__(cls, (pi, naive_cdf))
-
-    @property
-    def value(self) -> float:
-        return self.pi + (1.0 - self.pi) * self.naive_cdf
-
-
-def DirectPsi(psi: float) -> InterpolatedPsi:
-    """Persistence given directly as a number in [0, 1]."""
-    _check_prob("psi", psi)
-    return InterpolatedPsi(psi)
-
-
-def LowerBoundPsi(pi: float) -> InterpolatedPsi:
-    """Conservative lower bound: resolved psi = pi."""
-    return InterpolatedPsi(pi)
-
-
-class HackingRegime(namedtuple("HackingRegime", "h baseline_alpha psi_spec")):
-    """Hacking rate plus a persistence specification relative to a
-    baseline cutoff (at which all hacked P-values are significant)."""
-
-    __slots__ = ()
-
-    def __new__(cls, h: float, baseline_alpha: float = 0.05,
-                psi_spec: InterpolatedPsi = InterpolatedPsi(1.0)):
+    def __new__(cls, h: float, baseline_alpha: float = 0.05, psi: float = 1.0):
+        # psi first, so the CLI names a bad --psi before a bad --h, as it does --pi.
+        _check_prob("psi", psi)
         _check_prob("h", h, open_hi=True)
         _check_prob("baseline_alpha", baseline_alpha, open_lo=True, open_hi=True)
-        return tuple.__new__(cls, (h, baseline_alpha, psi_spec))
+        return tuple.__new__(cls, (h, baseline_alpha, psi))
 
 
 def resolve_psi(regime: HackingRegime, new_alpha: float) -> float:
     """Persistence of hacked P-values at ``new_alpha``.
 
-    At the baseline cutoff the answer is exactly 1 regardless of mode.
+    At the baseline cutoff the answer is exactly 1, below it ``regime.psi``.
     Raises CutoffAboveBaselineError for new_alpha > baseline_alpha: the
     monotonicity assumption only covers lowering the cutoff.
     """
@@ -149,7 +134,7 @@ def resolve_psi(regime: HackingRegime, new_alpha: float) -> float:
         )
     if new_alpha == regime.baseline_alpha:
         return 1.0
-    return regime.psi_spec.value
+    return regime.psi
 
 
 class OutcomeTable(namedtuple("OutcomeTable", (
@@ -284,11 +269,6 @@ def fpr_bound(design_new: TestDesign, h: float, pi: float) -> float:
     substituting the persistence parameter pi for the resolved psi
     (resolved psi >= pi, and fpr_regime is increasing in psi)."""
     return fpr_regime(design_new, h, pi)
-
-
-def table_sound(design: TestDesign) -> OutcomeTable:
-    """Proportion table with no hacking (unsound column all zero)."""
-    return table_regime(design, 0.0, 1.0)
 
 
 def table_regime(design_new: TestDesign, h: float, psi: float) -> OutcomeTable:

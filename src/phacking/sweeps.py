@@ -14,7 +14,7 @@ from collections import namedtuple
 
 from . import svg
 from .errors import DomainError, UnsupportedShapeError
-from .rates import DEFAULT_PHI, InterpolatedPsi, TestDesign, fpr_bound, fpr_hacked, fpr_sound, rr_sound
+from .rates import DEFAULT_PHI, TestDesign, fpr_bound, fpr_hacked, fpr_sound, interpolated_psi, rr_sound
 from .estimator import rr_ratio
 
 __all__ = [
@@ -101,7 +101,7 @@ def sweep_figure3(h: float, naive_cdf: float = 0.0) -> SweepResult:
         "fpr_sound_0.005": fpr_sound(new),
     }
     return _sweep(f"figure3_h{h:g}", "line", (("pi", _PI_GRID),), ("fpr_bound",),
-                  lambda pi: (fpr_bound(new, h, InterpolatedPsi(pi, naive_cdf).value),),
+                  lambda pi: (fpr_bound(new, h, interpolated_psi(pi, naive_cdf)),),
                   h=h, phi=DEFAULT_PHI, alpha_new=0.005, naive_cdf=naive_cdf,
                   references=references)
 

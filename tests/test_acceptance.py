@@ -1,4 +1,4 @@
-"""Acceptance suite: one test per paper claim in ``phacking.cli.CLAIMS``
+"""Acceptance suite: one test per paper claim in ``phacking.claims.CLAIMS``
 and one per remaining criterion, each printing a PASS line when its
 assertions hold.  Run with ``pytest -s tests/test_acceptance.py`` to see
 the report."""
@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from phacking import (
-    DirectPsi,
     HackingRegime,
     SimConfig,
     TestDesign,
@@ -24,7 +23,8 @@ from phacking import (
     solve_psi_for_rr_ratio,
     table_regime,
 )
-from phacking.cli import CLAIMS, main
+from phacking.claims import CLAIMS
+from phacking.cli import main
 
 PHI = 10.0 / 11.0
 OLD = TestDesign(0.05, 0.20, PHI)
@@ -103,7 +103,7 @@ def test_criterion_9_monte_carlo_oracle():
             n_tests=n,
             seed=1000 + i,
             design=TestDesign(cutoff, 0.20, PHI),
-            hacking=HackingRegime(h, 0.05, DirectPsi(psi)),
+            hacking=HackingRegime(h, 0.05, psi),
             cutoff=cutoff,
         )
         rep = crosscheck(cfg)

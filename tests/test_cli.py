@@ -52,6 +52,16 @@ class TestRates:
         code, _, _ = run(capsys, "rates", "--psi", "1", "--pi", "0.5")
         assert code == 2
 
+    def test_pi_is_its_lower_bound(self, capsys):
+        by_pi = run(capsys, "rates", "--alpha", "0.005", "--h", "0.1", "--pi", "0.3")
+        assert by_pi == run(capsys, "rates", "--alpha", "0.005", "--h", "0.1", "--psi", "0.3")
+        assert json.loads(by_pi[1])["resolved_psi"] == 0.3
+
+    @pytest.mark.parametrize("flag", ["--pi", "--psi"])
+    def test_persistence_out_of_range_exit_3(self, capsys, flag):
+        code, out, err = run(capsys, "rates", "--alpha", "0.005", flag, "1.5")
+        assert (code, out, err) == (3, "", f"error: {flag[2:]}=1.5 outside [0.0, 1.0]\n")
+
     def test_json_round_trip(self, capsys):
         args = ["rates", "--alpha", "0.01", "--power", "0.7", "--phi", "0.8", "--h", "0.1"]
         _, first, _ = run(capsys, *args)
@@ -190,6 +200,17 @@ class TestSimulate:
         cells = json.loads(out)["cells"]
         assert sum(cells.values()) == 1
         assert sum(1 for v in cells.values() if v) == 1
+
+    def test_empty_denominator_prints_strict_json(self, capsys):
+        # NaN is not JSON (RFC 8259), and strict parsers such as jq reject it.
+        def reject(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        code, out, _ = run(capsys, "simulate", "--n", "1", "--seed", "0")
+        assert code == 0
+        record = json.loads(out, parse_constant=reject)
+        assert record["empty_denominator"] is True
+        assert [record[key] for key in ("empirical_fpr", "empirical_rr", "se_fpr", "se_rr")] == [None] * 4
 
     def test_all_hacked(self, capsys):
         code, out, _ = run(capsys, "simulate", "--n", "10000", "--seed", "1",

@@ -13,7 +13,6 @@ from scipy.stats import binom, chi2, norm
 
 from phacking import (
     DegenerateConfigError,
-    DirectPsi,
     HackingRegime,
     SimConfig,
     TestDesign,
@@ -36,7 +35,7 @@ def config(n=N, seed=42, alpha=0.05, beta=0.20, phi=PHI, h=0.0, psi=1.0, cutoff=
         n_tests=n,
         seed=seed,
         design=TestDesign(alpha if cutoff is None else cutoff, beta, phi),
-        hacking=HackingRegime(h, 0.05, DirectPsi(psi)),
+        hacking=HackingRegime(h, 0.05, psi),
         cutoff=cutoff if cutoff is not None else alpha,
     )
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
@@ -10,17 +10,15 @@ from scipy.stats import norm
 from phacking import (
     CutoffAboveBaselineError,
     DegenerateDesignError,
-    DirectPsi,
     DomainError,
     HackingRegime,
-    InterpolatedPsi,
-    LowerBoundPsi,
     Rates,
     TestDesign,
     fpr_bound,
     fpr_hacked,
     fpr_regime,
     fpr_sound,
+    interpolated_psi,
     masses,
     power_at_new_cutoff,
     resolve_psi,
@@ -28,7 +26,6 @@ from phacking import (
     rr_regime,
     rr_sound,
     table_regime,
-    table_sound,
 )
 from phacking.rates import normal_shift_delta
 
@@ -44,6 +41,22 @@ def random_designs(n, seed=0):
         beta = rng.uniform(0.0, 0.95)
         phi = rng.uniform(0.01, 0.99)
         yield TestDesign(alpha, beta, phi)
+
+
+# The whole domain: every design, h in [0, 1), psi, pi and naive_cdf in [0, 1].
+UNIT = st.floats(0.0, 1.0)
+HACKING_RATES = st.floats(0.0, 1.0, exclude_max=True)
+CUTOFFS = st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)
+DESIGNS = st.builds(TestDesign, CUTOFFS, UNIT, UNIT)
+
+
+def rejects(design, h, psi):
+    """Whether any result is significant, i.e. the rates are defined."""
+    try:
+        masses(design, h, psi)
+    except DegenerateDesignError:
+        return False
+    return True
 
 
 class TestSoundRates:
@@ -120,31 +133,40 @@ class TestHackedRates:
 
 class TestResolvePsi:
     def test_interpolated_extremes(self):
-        regime = HackingRegime(0.1, 0.05, InterpolatedPsi(1.0, 0.3))
+        regime = HackingRegime(0.1, 0.05, interpolated_psi(1.0, 0.3))
         assert resolve_psi(regime, 0.005) == 1.0
-        regime = HackingRegime(0.1, 0.05, InterpolatedPsi(0.0, 0.3))
+        regime = HackingRegime(0.1, 0.05, interpolated_psi(0.0, 0.3))
         assert resolve_psi(regime, 0.005) == pytest.approx(0.3)
 
     def test_lower_bound(self):
-        regime = HackingRegime(0.1, 0.05, LowerBoundPsi(0.25))
+        regime = HackingRegime(0.1, 0.05, interpolated_psi(0.25))
         assert resolve_psi(regime, 0.005) == 0.25
 
     def test_baseline_is_one_regardless_of_mode(self):
-        for spec in (DirectPsi(0.4), InterpolatedPsi(0.2, 0.1), LowerBoundPsi(0.0)):
-            assert resolve_psi(HackingRegime(0.1, 0.05, spec), 0.05) == 1.0
+        for psi in (0.4, interpolated_psi(0.2, 0.1), interpolated_psi(0.0)):
+            assert resolve_psi(HackingRegime(0.1, 0.05, psi), 0.05) == 1.0
 
     def test_cutoff_above_baseline(self):
         with pytest.raises(CutoffAboveBaselineError):
             resolve_psi(HackingRegime(0.1, 0.05), 0.06)
 
-    def test_resolved_at_least_pi(self):
-        rng = np.random.default_rng(4)
-        for _ in range(200):
-            pi, q = rng.uniform(size=2)
-            interp = resolve_psi(HackingRegime(0.1, 0.05, InterpolatedPsi(pi, q)), 0.005)
-            bound = resolve_psi(HackingRegime(0.1, 0.05, LowerBoundPsi(pi)), 0.005)
-            assert q <= interp <= 1.0 + 1e-15
-            assert interp >= bound - 1e-15
+    @pytest.mark.parametrize("pi, naive_cdf, message", [
+        (1.5, 0.0, "pi=1.5 outside [0.0, 1.0]"),
+        (-0.1, 0.0, "pi=-0.1 outside [0.0, 1.0]"),
+        (0.5, -0.1, "naive_cdf=-0.1 outside [0.0, 1.0]"),
+        (0.5, 1.5, "naive_cdf=1.5 outside [0.0, 1.0]"),
+    ])
+    def test_interpolated_psi_range(self, pi, naive_cdf, message):
+        with pytest.raises(DomainError, match=message.replace("[", r"\[")):
+            interpolated_psi(pi, naive_cdf)
+
+    @given(HACKING_RATES, CUTOFFS, UNIT, UNIT, st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_resolved_at_least_pi(self, h, baseline, pi, q, fraction):
+        regime = HackingRegime(h, baseline, interpolated_psi(pi, q))
+        assert resolve_psi(regime, baseline) == 1.0
+        below = baseline * fraction
+        assume(0.0 < below < baseline)
+        assert max(pi, q) <= resolve_psi(regime, below) <= 1.0
 
 
 class TestRegimeRates:
@@ -187,7 +209,7 @@ class TestRegimeRates:
         rng = np.random.default_rng(6)
         for _ in range(200):
             pi, q, h = rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0.01, 0.9)
-            psi = resolve_psi(HackingRegime(h, 0.05, InterpolatedPsi(pi, q)), 0.005)
+            psi = resolve_psi(HackingRegime(h, 0.05, interpolated_psi(pi, q)), 0.005)
             assert fpr_regime(NEW, h, psi) >= fpr_bound(NEW, h, pi) - 1e-15
 
     def test_bound_examples(self):
@@ -198,16 +220,16 @@ class TestRegimeRates:
 
 class TestOutcomeTable:
     def test_sound_table_reject_row(self):
-        table = table_sound(OLD)
+        table = table_regime(OLD, 0.0, 1.0)
         assert table.sound_true_reject == pytest.approx(0.05 * PHI, abs=1e-15)
         assert table.sound_false_reject == pytest.approx(0.8 * (1 - PHI), abs=1e-15)
         assert table.unsound_reject == 0.0
 
     def test_sound_table_edge_cases(self):
-        table = table_sound(TestDesign(0.05, 0.2, 1.0))
+        table = table_regime(TestDesign(0.05, 0.2, 1.0), 0.0, 1.0)
         assert table.sound_false_reject == 0.0
         assert table.sound_false_notreject == 0.0
-        perfect = table_sound(TestDesign(1e-12, 0.0, 0.4))
+        perfect = table_regime(TestDesign(1e-12, 0.0, 0.4), 0.0, 1.0)
         assert perfect.sound_true_reject == pytest.approx(0.0, abs=1e-12)
         assert perfect.sound_false_reject == pytest.approx(0.6, abs=1e-12)
 
@@ -222,7 +244,7 @@ class TestOutcomeTable:
         assert full.unsound_reject == pytest.approx(0.1, abs=1e-15)
 
     def test_h_zero_reduces_to_sound_table(self):
-        assert table_regime(NEW, 0.0, 0.3) == table_sound(NEW)
+        assert table_regime(NEW, 0.0, 0.3) == table_regime(NEW, 0.0, 1.0)
 
     def test_cells_sum_and_rate_consistency(self):
         for design in random_designs(200, seed=7):
@@ -237,6 +259,31 @@ class TestOutcomeTable:
     def test_rates_complementarity_enforced(self):
         with pytest.raises(DomainError):
             Rates(fpr=0.3, rr=0.6)
+
+
+class TestDomainProperties:
+    @given(DESIGNS, HACKING_RATES, UNIT)
+    def test_complementarity(self, design, h, psi):
+        assume(rejects(design, h, psi))
+        assert abs(fpr_regime(design, h, psi) + rr_regime(design, h, psi) - 1.0) <= 1e-12
+
+    @given(DESIGNS, HACKING_RATES, HACKING_RATES, UNIT, UNIT)
+    def test_fpr_does_not_decrease_in_h_or_psi(self, design, h1, h2, psi1, psi2):
+        # Up to rounding: at psi = 0 the FPR is constant in h, and its float
+        # value moves by an ulp either way (the bound-dominance tests use
+        # the same 1e-15).
+        (h1, h2), (psi1, psi2) = sorted((h1, h2)), sorted((psi1, psi2))
+        assume(rejects(design, h1, psi1) and rejects(design, h2, psi1))
+        assert fpr_regime(design, h1, psi1) <= fpr_regime(design, h1, psi2) + 1e-15
+        assert fpr_regime(design, h1, psi1) <= fpr_regime(design, h2, psi1) + 1e-15
+
+    @given(DESIGNS, HACKING_RATES, UNIT)
+    def test_table_sums_to_one_and_rejects_are_the_masses(self, design, h, psi):
+        table = table_regime(design, h, psi)
+        assert abs(sum(table.cells().values()) - 1.0) <= 1e-12
+        assume(rejects(design, h, psi))
+        assert (table.sound_true_reject + table.unsound_reject,
+                table.sound_false_reject) == masses(design, h, psi)
 
 
 def _normal_cdf_quad(x):

@@ -12,7 +12,6 @@ from phacking import (
     DomainError,
     HackingEstimate,
     HackingRegime,
-    InterpolatedPsi,
     OutcomeTable,
     PsiSolution,
     Rates,
@@ -23,7 +22,7 @@ from phacking import (
     SweepResult,
     TestDesign,
 )
-from phacking.cli import Claim
+from phacking.claims import Claim
 from phacking.mc import CheckRow, CrosscheckReport
 
 DESIGN = TestDesign(0.05, 0.2, 0.9)
@@ -33,7 +32,7 @@ OUTCOME_ARGS = (10, 1, "python-MT19937-binomial", 0, 9, 1, 0, 0, 0, 9, 1, 0, 1.0
 ROW = CheckRow("fpr", 0.5, 0.5, 0.0, True)
 TABLE_ARGS = (0.25, 0.25, 0.0, 0.0, 0.25, 0.25, 0.5, 0.0, 0.5)
 
-_REGIME_REPR = "HackingRegime(h=0.1, baseline_alpha=0.05, psi_spec=InterpolatedPsi(pi=1.0, naive_cdf=0.0))"
+_REGIME_REPR = "HackingRegime(h=0.1, baseline_alpha=0.05, psi=1.0)"
 _OUTCOME_REPR = (
     "SimOutcome(n_tests=10, seed=1, generator='python-MT19937-binomial', sound_true_reject=0, "
     "sound_true_notreject=9, unsound_reject=1, unsound_notreject=0, sound_false_reject=0, "
@@ -46,8 +45,7 @@ _ROW_REPR = "CheckRow(name='fpr', closed_form=0.5, empirical=0.5, z_score=0.0, o
 # earlier frozen-dataclass records.
 RECORDS = [
     (TestDesign, (0.05, 0.2, 0.9), "TestDesign(alpha=0.05, beta=0.2, phi=0.9)"),
-    (InterpolatedPsi, (0.25, 0.0), "InterpolatedPsi(pi=0.25, naive_cdf=0.0)"),
-    (HackingRegime, (0.1, 0.05, InterpolatedPsi(1.0)), _REGIME_REPR),
+    (HackingRegime, (0.1, 0.05, 1.0), _REGIME_REPR),
     (OutcomeTable, TABLE_ARGS,
      "OutcomeTable(sound_true_reject=0.25, sound_true_notreject=0.25, unsound_reject=0.0, "
      "unsound_notreject=0.0, sound_false_reject=0.25, sound_false_notreject=0.25, "
@@ -105,8 +103,7 @@ def test_equal_values_hash_equal(cls, args, want):
 
 
 def test_defaults():
-    assert InterpolatedPsi(0.25) == InterpolatedPsi(0.25, 0.0)
-    assert HackingRegime(0.1) == HackingRegime(0.1, 0.05, InterpolatedPsi(1.0, 0.0))
+    assert HackingRegime(0.1) == HackingRegime(0.1, 0.05, 1.0)
     assert ReplicationData(97, 36).strata == ()
     assert HackingEstimate(0.1, 0.05, 0.15).residuals == ()
     first, second = (SweepResult("f", "line", (), (), ()) for _ in range(2))
@@ -119,9 +116,9 @@ def test_defaults():
     (lambda: TestDesign(alpha=1.0, beta=0.2, phi=0.5), DomainError),
     (lambda: TestDesign(0.05, 1.2, 0.5), DomainError),
     (lambda: TestDesign(0.05, 0.2, -0.1), DomainError),
-    (lambda: InterpolatedPsi(1.5), DomainError),
-    (lambda: InterpolatedPsi(0.5, naive_cdf=-0.1), DomainError),
     (lambda: HackingRegime(1.0), DomainError),
+    (lambda: HackingRegime(0.1, psi=1.5), DomainError),
+    (lambda: HackingRegime(0.1, 0.05, -0.1), DomainError),
     (lambda: HackingRegime(0.1, baseline_alpha=0.0), DomainError),
     (lambda: OutcomeTable(-0.25, 0.5, *TABLE_ARGS[2:]), DomainError),
     (lambda: OutcomeTable(0.5, *TABLE_ARGS[1:]), DomainError),

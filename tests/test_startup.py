@@ -49,7 +49,7 @@ def test_import_loads_only_the_standard_library():
     (["fit", "--builtin", "psych-rep"], 0, sorted(BASE + ["estimator"])),
     (["fit", "--builtin", "psych-rep", "--stratified"], 0, sorted(BASE + ["estimator"])),
     (["sweep", "--figure", "5", "--svg", "--out", "{tmp}"], 0, FIGURES),
-    (["reproduce", "--out", "{tmp}"], 0, FIGURES),
+    (["reproduce", "--out", "{tmp}"], 0, sorted(FIGURES + ["claims"])),
     (["simulate", "--seed", "-1"], 3, sorted(BASE + ["mc"])),
     (["rates", "--beta", "0.2", "--power", "0.8"], 2, BASE),
     (["sweep", "--figure", "9"], 2, FIGURES),
