@@ -16,7 +16,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": (
         "CutoffAboveBaselineError", "DegenerateConfigError", "DegenerateDesignError",
-        "DomainError", "ModelError", "NoRootError", "UnachievableError", "UnsupportedShapeError",
+        "DomainError", "ModelError", "NoRootError", "UnsupportedShapeError",
     ),
     "rates": (
         "DirectPsi", "HackingRegime", "InterpolatedPsi", "OutcomeTable", "Rates", "TestDesign",

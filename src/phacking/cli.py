@@ -127,12 +127,7 @@ def cmd_rates(args) -> int:
         "resolved_psi": psi,
         "fpr": fpr,
         "rr": rr,
-        "table": {
-            **table.cells(),
-            "phi_sound": table.phi_sound,
-            "mass_unsound": table.mass_unsound,
-            "mass_sound_false": table.mass_sound_false,
-        },
+        "table": table._asdict(),
     })
     return EXIT_OK
 
@@ -238,9 +233,8 @@ def cmd_simulate(args) -> int:
 
     design = _design_from(args)
     regime = _regime_from(args)
-    cutoff = args.cutoff if args.cutoff is not None else design.alpha
     config = mc.SimConfig(n_tests=args.n, seed=args.seed, design=design,
-                          hacking=regime, cutoff=cutoff)
+                          hacking=regime, cutoff=design.alpha)
     report = mc.crosscheck(config)
     out = report.outcome
     _emit({
@@ -313,8 +307,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_hacking_flags(p)
     p.add_argument("--n", type=int, default=100_000, help="number of simulated studies")
     p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    p.add_argument("--cutoff", type=float,
-                   help="operative cutoff if different from --alpha")
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("reproduce", help="write all figures and check the headline numbers")

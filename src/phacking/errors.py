@@ -23,10 +23,6 @@ class NoRootError(ModelError):
     """No hacking rate in [0, 1) is consistent with the observed rate."""
 
 
-class UnachievableError(ModelError):
-    """No persistence value in [0, 1] attains the requested ratio."""
-
-
 class DegenerateConfigError(ModelError):
     """Simulation configuration violates its preconditions."""
 

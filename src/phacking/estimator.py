@@ -9,20 +9,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import DomainError, NoRootError, UnachievableError
+from .errors import DomainError, NoRootError
 from .rates import TestDesign, masses, power_at_new_cutoff, rr_hacked, rr_regime
-
-__all__ = [
-    "ReplicationStratum",
-    "ReplicationData",
-    "HackingEstimate",
-    "PSYCH_REP",
-    "fit_h",
-    "fit_h_stratified",
-    "rr_ratio",
-    "solve_psi_for_rr_ratio",
-    "PsiSolution",
-]
 
 class ReplicationStratum(namedtuple("ReplicationStratum", "p_low p_high total replicated")):
     __slots__ = ()
@@ -72,9 +60,9 @@ class HackingEstimate(namedtuple("HackingEstimate", "point range_low range_high 
                                  defaults=((),))):
     """Pooled point estimate plus the stratified range.
 
-    ``residuals`` holds one record per stratum: observed rate, fitted
-    rate at the root (or the nearest attainable rate when no root
-    exists), the root itself (None if absent) and a ``no_root`` flag.
+    ``residuals`` holds one record per stratum: observed rate, the
+    model's rate at the root (at h = 0 when no root exists), the root
+    itself (None if absent) and a ``no_root`` flag.
     The point comes from the pooled fit, so it need not lie inside
     [range_low, range_high].
     """
@@ -91,34 +79,41 @@ def fit_h(data: ReplicationData, design: TestDesign) -> float:
     closed-form.  Raises NoRootError when the observed rate is 0 or at
     least the no-hacking prediction.
     """
-    return _solve_h_for_rate(data.rate, design)
-
-
-def _solve_h_for_rate(rate: float, design: TestDesign) -> float:
-    """rr_hacked = tp(1-h) / ((fp+tp)(1-h) + h) = rate cross-multiplies to
-    K(1-h) = rate*h with K = tp - rate*(fp+tp), so h = K / (K + rate),
-    which lies in (0, 1) exactly when rate > 0 and K > 0."""
     fp, tp = masses(design)
+    rate = data.rate
+    root = _h_root(rate, fp, tp)
+    if root is not None:
+        return root
     if rate <= 0.0:
         raise NoRootError(f"observed rate {rate} <= 0: no h in [0, 1) fits")
+    raise NoRootError(
+        f"observed rate {rate} >= no-hacking prediction {tp / (fp + tp):.6g}: "
+        "bracket [0, 1) contains no root"
+    )
+
+
+def _h_root(rate: float, fp: float, tp: float) -> float | None:
+    """The h in (0, 1) at which tp(1-h) / ((fp+tp)(1-h) + h) = rate, or None.
+
+    Cross-multiplying gives K(1-h) = rate*h with K = tp - rate*(fp+tp), so
+    h = K / (K + rate), which lies in (0, 1) exactly when rate > 0 and K > 0.
+    """
     k = tp - rate * (fp + tp)
-    if k <= 0.0:
-        raise NoRootError(
-            f"observed rate {rate} >= no-hacking prediction {tp / (fp + tp):.6g}: "
-            "bracket [0, 1) contains no root"
-        )
-    return k / (k + rate)
+    return k / (k + rate) if rate > 0.0 and k > 0.0 else None
 
 
-def _stratum_split(design: TestDesign, stratum: ReplicationStratum) -> tuple[float, float]:
-    """(true-positive, false-positive) mass of the significant sound
-    P-values that fall in the stratum, with no hacking.
+def _stratum_split(design: TestDesign, stratum: ReplicationStratum) -> tuple[float, float, float]:
+    """(false-positive, true-positive) mass of the significant sound
+    P-values that fall in the stratum, with no hacking, and the share of
+    hacked P-values it holds under threshold clustering.
 
     Only the part of the stratum below the cutoff counts.  True-null
     sound P-values are uniform on [0, alpha]; false-null sound P-values
     follow the one-sided normal shift calibrated to the design's power,
     whose CDF is 0 at 0 and the power at alpha.  At power 0 or 1 the
     shift is infinite and the CDF takes its limit, the power, on (0, alpha].
+    Hacked P-values cluster just below the cutoff, so the stratum with
+    p_low < alpha <= p_high holds all of them and every other none.
     """
     a, power = design.alpha, design.power
 
@@ -130,20 +125,19 @@ def _stratum_split(design: TestDesign, stratum: ReplicationStratum) -> tuple[flo
         return power_at_new_cutoff(power, a, x)
 
     lo, hi = min(stratum.p_low, a), min(stratum.p_high, a)
-    return (1.0 - design.phi) * (cdf(hi) - cdf(lo)), design.phi * (hi - lo)
+    hacked = 1.0 if stratum.p_low < a <= stratum.p_high else 0.0
+    return design.phi * (hi - lo), (1.0 - design.phi) * (cdf(hi) - cdf(lo)), hacked
 
 
-def _clustered_stratum_rate(design: TestDesign, stratum: ReplicationStratum, h: float) -> float:
+def _clustered_stratum_rate(design: TestDesign, stratum: ReplicationStratum,
+                            h: float) -> float | None:
     """Predicted replication rate inside one stratum when all hacked
-    P-values cluster just below the operative threshold, i.e. land in
-    the stratum with p_low < alpha <= p_high."""
-    tp, fp = _stratum_split(design, stratum)
+    P-values cluster just below the operative threshold; None when the
+    stratum predicts no significant P-value."""
+    fp, tp, hacked = _stratum_split(design, stratum)
     sound = 1.0 - h
-    hacked = h if stratum.p_low < design.alpha <= stratum.p_high else 0.0
-    den = (tp + fp) * sound + hacked
-    if den == 0.0:
-        raise NoRootError("empty stratum prediction")
-    return tp * sound / den
+    den = (tp + fp) * sound + hacked * h
+    return tp * sound / den if den != 0.0 else None
 
 
 def fit_h_stratified(
@@ -168,67 +162,37 @@ def fit_h_stratified(
       predicted rate that does not depend on h, and a stratum wholly at
       or above it predicts nothing, so neither yields a root (flagged in
       residuals, with ``fitted`` None for the empty stratum).
+
+    Under either model a stratum's rate is tp(1-h) / ((fp+tp)(1-h) +
+    hacked*h), so when the stratum holds the hacked P-values (hacked = 1)
+    ``_h_root`` of its masses is its root; otherwise its rate does not
+    move with h and it has none.
     """
     if not data.strata:
         raise DomainError("stratified fit requires strata")
     point = fit_h(data, design)
+    if model not in ("per_stratum_rate", "threshold_clustering"):
+        raise DomainError(f"unknown stratum model {model!r}")
+    clustered = model == "threshold_clustering"
     roots = []
     residuals = []
     for stratum in data.strata:
-        rec = {
+        fp, tp, hacked = _stratum_split(design, stratum) if clustered else (*masses(design), 1.0)
+        root = _h_root(stratum.rate, fp, tp) if hacked else None
+        if root is not None:
+            roots.append(root)
+        h = 0.0 if root is None else root
+        residuals.append({
             "p_range": (stratum.p_low, stratum.p_high),
             "observed": stratum.rate,
-            "root": None,
-            "fitted": None,
-            "no_root": False,
-        }
-        try:
-            if model == "per_stratum_rate":
-                root = _solve_h_for_rate(stratum.rate, design)
-                rec["fitted"] = rr_hacked(design, root)
-            elif model == "threshold_clustering":
-                root = _solve_h_clustered(design, stratum)
-                rec["fitted"] = _clustered_stratum_rate(design, stratum, root)
-            else:
-                raise DomainError(f"unknown stratum model {model!r}")
-            rec["root"] = root
-            roots.append(root)
-        except NoRootError:
-            rec["no_root"] = True
-            rec["fitted"] = _nearest_attainable(model, design, stratum)
-        residuals.append(rec)
+            "root": root,
+            "fitted": _clustered_stratum_rate(design, stratum, h) if clustered else rr_hacked(design, h),
+            "no_root": root is None,
+        })
     if not roots:
         raise NoRootError("no stratum admitted a root")
     return HackingEstimate(point=point, range_low=min(roots), range_high=max(roots),
                            residuals=tuple(residuals))
-
-
-def _solve_h_clustered(design: TestDesign, stratum: ReplicationStratum) -> float:
-    """Exact root of _clustered_stratum_rate = rate.  In the stratum holding
-    the cutoff it has _solve_h_for_rate's form, so h = K / (K + rate) with
-    K = tp - rate*(tp+fp); in any other the rate does not depend on h."""
-    tp, fp = _stratum_split(design, stratum)
-    rate = stratum.rate
-    holds = stratum.p_low < design.alpha <= stratum.p_high
-    k = tp - rate * (tp + fp)
-    if holds and rate > 0.0 and k > 0.0:
-        return k / (k + rate)
-    if tp + fp == 0.0:
-        raise NoRootError("empty stratum prediction")
-    at0 = tp / (tp + fp)
-    raise NoRootError(
-        f"stratum ({stratum.p_low}, {stratum.p_high}): predicted rate "
-        f"spans [{0.0 if holds else at0:.4g}, {at0:.4g}], observed {rate:.4g} outside"
-    )
-
-
-def _nearest_attainable(model, design, stratum):
-    if model == "per_stratum_rate":
-        return rr_hacked(design, 0.0)
-    try:
-        return _clustered_stratum_rate(design, stratum, 0.0)
-    except NoRootError:
-        return None
 
 
 def rr_ratio(design_new: TestDesign, design_old: TestDesign, h: float, psi: float) -> float:
@@ -248,7 +212,6 @@ def solve_psi_for_rr_ratio(
     design_new: TestDesign,
     design_old: TestDesign,
     h: float,
-    strict: bool = False,
 ) -> PsiSolution:
     """Persistence at which the replication-rate ratio equals
     ``target_ratio``.
@@ -256,8 +219,7 @@ def solve_psi_for_rr_ratio(
     The ratio is linear-fractional and strictly decreasing in psi (for
     h > 0), so the root is unique and closed-form.  When the target lies
     outside the attainable range the nearest boundary is returned with
-    ``achievable=False``; with ``strict=True`` an UnachievableError is
-    raised instead.
+    ``achievable=False``.
     """
     if target_ratio <= 0.0:
         raise DomainError(f"target_ratio={target_ratio} must be positive")
@@ -272,12 +234,7 @@ def solve_psi_for_rr_ratio(
         if value == 0.0:
             return PsiSolution(boundary, True)
     if at0 < 0.0 or at1 > 0.0:
-        boundary = 0.0 if at0 < 0.0 else 1.0
-        if strict:
-            raise UnachievableError(
-                f"ratio {target_ratio} unattainable; nearest boundary psi={boundary}"
-            )
-        return PsiSolution(boundary, False)
+        return PsiSolution(0.0 if at0 < 0.0 else 1.0, False)
     # rr_regime = tp / (c + h*psi + tp) = target * rr_old, solved for psi
     c, tp = masses(design_new, h, 0.0)
     psi = (tp / (target_ratio * rr_hacked(design_old, h)) - (c + tp)) / h

@@ -27,15 +27,16 @@ import random
 from collections import namedtuple
 
 from .errors import DegenerateConfigError
-from .rates import HackingRegime, TestDesign, _norm, fpr_regime, normal_shift_delta, resolve_psi, rr_regime
-
-__all__ = ["SimConfig", "SimOutcome", "CheckRow", "CrosscheckReport", "simulate", "crosscheck"]
+from .rates import CELLS, HackingRegime, TestDesign, fpr_regime, power_at_new_cutoff, resolve_psi, rr_regime
 
 GENERATOR_NAME = "python-MT19937-binomial"
 
 #: Largest n_tests: beyond 2**53 a float no longer holds every integer, so
 #: the rejection sampler could not reach every count.
 MAX_TESTS = 2**53
+
+#: ``crosscheck`` fails a rate whose |z| against its closed form exceeds this.
+Z_LIMIT = 4.0
 
 
 class SimConfig(namedtuple("SimConfig", "n_tests seed design hacking cutoff")):
@@ -58,9 +59,8 @@ class SimConfig(namedtuple("SimConfig", "n_tests seed design hacking cutoff")):
 
 
 class SimOutcome(namedtuple("SimOutcome", (
-        "n_tests seed generator sound_true_reject sound_true_notreject unsound_reject "
-        "unsound_notreject sound_false_reject sound_false_notreject n_sound_true n_unsound "
-        "n_sound_false empirical_fpr empirical_rr se_fpr se_rr empty_denominator"))):
+        "n_tests", "seed", "generator", *CELLS, "n_sound_true", "n_unsound", "n_sound_false",
+        "empirical_fpr", "empirical_rr", "se_fpr", "se_rr", "empty_denominator"))):
     """Cell counts of the outcome table plus empirical rates.
 
     Rates are NaN with ``empty_denominator=True`` when no study is
@@ -75,14 +75,7 @@ class SimOutcome(namedtuple("SimOutcome", (
         return self.sound_true_reject + self.unsound_reject + self.sound_false_reject
 
     def cells(self) -> dict[str, int]:
-        return {
-            "sound_true_reject": self.sound_true_reject,
-            "sound_true_notreject": self.sound_true_notreject,
-            "unsound_reject": self.unsound_reject,
-            "unsound_notreject": self.unsound_notreject,
-            "sound_false_reject": self.sound_false_reject,
-            "sound_false_notreject": self.sound_false_notreject,
-        }
+        return {name: getattr(self, name) for name in CELLS}
 
 
 def simulate(config: SimConfig) -> SimOutcome:
@@ -91,14 +84,13 @@ def simulate(config: SimConfig) -> SimOutcome:
     design = config.design
     cutoff = config.cutoff
     psi = resolve_psi(config.hacking, cutoff)
-    # A sound false-null study rejects when z_alt + delta > z_crit, with
-    # z_alt standard normal: always at beta = 0, never at beta = 1.
+    # A sound false-null study rejects with the normal shift's power at the
+    # cutoff, 1 - beta up to rounding; at beta = 0 or 1 the shift is
+    # infinite and it rejects always or never.
     if design.beta in (0.0, 1.0):
         power = 1.0 - design.beta
     else:
-        delta = normal_shift_delta(1.0 - design.beta, cutoff)
-        z_crit = -_norm().inv_cdf(cutoff)
-        power = 0.5 * math.erfc((z_crit - delta) / math.sqrt(2.0))
+        power = power_at_new_cutoff(1.0 - design.beta, cutoff, cutoff)
 
     rng = random.Random(config.seed)
     # Fixed draw order: each count given the ones drawn before it.
@@ -152,9 +144,9 @@ class CrosscheckReport(namedtuple("CrosscheckReport", "outcome rows empty_denomi
         return not self.empty_denominator and all(r.ok for r in self.rows)
 
 
-def crosscheck(config: SimConfig, z_limit: float = 4.0) -> CrosscheckReport:
+def crosscheck(config: SimConfig) -> CrosscheckReport:
     """Compare empirical rates against the closed forms at the same
-    parameters; |z| above ``z_limit`` marks a failure."""
+    parameters; |z| above ``Z_LIMIT`` marks a failure."""
     outcome = simulate(config)
     design_new = config.design.with_alpha(config.cutoff)
     psi = resolve_psi(config.hacking, config.cutoff)
@@ -169,7 +161,7 @@ def crosscheck(config: SimConfig, z_limit: float = 4.0) -> CrosscheckReport:
     ):
         se = math.sqrt(closed * (1.0 - closed) / outcome.n_significant)
         z = 0.0 if se == 0.0 and emp == closed else (emp - closed) / se if se > 0.0 else math.inf
-        rows.append(CheckRow(name=name, closed_form=closed, empirical=emp, z_score=z, ok=abs(z) <= z_limit))
+        rows.append(CheckRow(name=name, closed_form=closed, empirical=emp, z_score=z, ok=abs(z) <= Z_LIMIT))
     return CrosscheckReport(outcome=outcome, rows=tuple(rows), empty_denominator=False)
 
 

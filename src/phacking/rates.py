@@ -20,26 +20,6 @@ from collections import namedtuple
 
 from .errors import CutoffAboveBaselineError, DegenerateDesignError, DomainError
 
-__all__ = [
-    "DEFAULT_PHI",
-    "TestDesign",
-    "interpolated_psi",
-    "HackingRegime",
-    "OutcomeTable",
-    "Rates",
-    "masses",
-    "fpr_sound",
-    "rr_sound",
-    "fpr_hacked",
-    "rr_hacked",
-    "resolve_psi",
-    "fpr_regime",
-    "rr_regime",
-    "fpr_bound",
-    "table_regime",
-    "power_at_new_cutoff",
-]
-
 #: Absolute tolerance for internal identity checks (complementarity,
 #: table cell sums).  Paper-value regressions use a looser 5e-3 because
 #: the source reports two decimals.
@@ -168,14 +148,7 @@ class OutcomeTable(namedtuple("OutcomeTable", (
         return self
 
     def cells(self) -> dict[str, float]:
-        return {
-            "sound_true_reject": self.sound_true_reject,
-            "sound_true_notreject": self.sound_true_notreject,
-            "unsound_reject": self.unsound_reject,
-            "unsound_notreject": self.unsound_notreject,
-            "sound_false_reject": self.sound_false_reject,
-            "sound_false_notreject": self.sound_false_notreject,
-        }
+        return dict(zip(CELLS, self))
 
     @property
     def reject_total(self) -> float:
@@ -188,6 +161,10 @@ class OutcomeTable(namedtuple("OutcomeTable", (
             raise DegenerateDesignError("no rejections: rates undefined")
         fpr = (self.sound_true_reject + self.unsound_reject) / total
         return Rates(fpr=fpr, rr=self.sound_false_reject / total)
+
+
+#: The six cell names, in table order; ``mc.SimOutcome`` counts the same cells.
+CELLS = OutcomeTable._fields[:6]
 
 
 class Rates(namedtuple("Rates", "fpr rr")):

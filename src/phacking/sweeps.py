@@ -17,20 +17,6 @@ from .errors import DomainError, UnsupportedShapeError
 from .rates import DEFAULT_PHI, TestDesign, fpr_bound, fpr_hacked, fpr_sound, interpolated_psi, rr_sound
 from .estimator import rr_ratio
 
-__all__ = [
-    "SweepResult",
-    "DEFAULT_PHI",
-    "FIGURES",
-    "figure_results",
-    "sweep_figure1",
-    "sweep_figure2",
-    "sweep_figure3",
-    "sweep_figure4",
-    "sweep_figure5",
-    "render_csv",
-    "render_svg",
-]
-
 DEFAULT_BETA = 0.20
 
 _POWER_FINE = tuple(round(0.05 + 0.01 * i, 2) for i in range(95))  # 0.05 .. 0.99

@@ -219,8 +219,14 @@ class TestSimulate:
         assert json.loads(out)["empirical_rr"] == 0.0
 
     def test_bad_config_exit_3(self, capsys):
-        code, _, _ = run(capsys, "simulate", "--n", "100", "--cutoff", "0.5")
+        code, _, _ = run(capsys, "simulate", "--n", "100", "--alpha", "0.5")
         assert code == 3
+
+    def test_cutoff_is_alpha(self, capsys):
+        # --alpha is the operative cutoff; there is no second option for it
+        code, out, err = run(capsys, "simulate", "--cutoff", "0.005")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments: --cutoff 0.005" in err
 
     def test_negative_seed_exit_3(self, capsys):
         code, _, err = run(capsys, "simulate", "--n", "1000", "--seed", "-1")
@@ -304,3 +310,15 @@ def test_closed_stdout_exit_3():
     finally:
         os.close(write_end)
     assert (proc.returncode, proc.stderr) == (3, "error: cannot write stdout: Broken pipe\n")
+
+
+def test_replays_golden_calls(capsys):
+    """Every call in tests/golden/cli.json prints the recorded stdout and
+    stderr and exits with the recorded code; ``{golden}`` in an argv
+    stands for tests/golden."""
+    golden = Path(__file__).parent / "golden"
+    calls = json.loads((golden / "cli.json").read_text())
+    for name, call in calls.items():
+        code = main([arg.format(golden=golden) for arg in call["argv"]])
+        captured = capsys.readouterr()
+        assert (code, captured.out, captured.err) == (call["code"], call["stdout"], call["stderr"]), name

@@ -1,28 +1,41 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from phacking import (
     PSYCH_REP,
+    DegenerateDesignError,
     DomainError,
     NoRootError,
     ReplicationData,
     ReplicationStratum,
     TestDesign,
-    UnachievableError,
     fit_h,
     fit_h_stratified,
+    masses,
     rr_hacked,
     rr_ratio,
     rr_regime,
     solve_psi_for_rr_ratio,
 )
-from phacking.estimator import _clustered_stratum_rate, _solve_h_clustered, _solve_h_for_rate, _stratum_split
+from phacking.estimator import _h_root, _stratum_split
 
 PHI = 10.0 / 11.0
 OLD = TestDesign(0.05, 0.20, PHI)
 NEW = TestDesign(0.005, 0.20, PHI)
+
+#: Every design: alpha in (0, 1), beta and phi in [0, 1].
+DESIGNS = st.builds(TestDesign, alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+                    beta=st.floats(0.0, 1.0), phi=st.floats(0.0, 1.0))
+
+
+def live_masses(design, h=0.0, psi=1.0):
+    """``masses``, or None where the design rejects nothing."""
+    try:
+        return masses(design, h, psi)
+    except DegenerateDesignError:
+        return None
 
 
 class TestFitH:
@@ -39,7 +52,7 @@ class TestFitH:
         assert fit_h(data, OLD) < 1e-4
 
     def test_inverse_of_rr_hacked_example(self):
-        assert _solve_h_for_rate(rr_hacked(OLD, 0.15), OLD) == pytest.approx(0.15, abs=1e-9)
+        assert _h_root(rr_hacked(OLD, 0.15), *masses(OLD)) == pytest.approx(0.15, abs=1e-9)
 
     def test_no_root_conditions(self):
         with pytest.raises(NoRootError):
@@ -47,19 +60,44 @@ class TestFitH:
         with pytest.raises(NoRootError):
             fit_h(ReplicationData(total=10, replicated=10), OLD)
 
-    def test_round_trip_property(self):
-        rng = np.random.default_rng(11)
-        checked = 0
-        while checked < 500:
-            design = TestDesign(rng.uniform(1e-3, 0.5), rng.uniform(0.0, 0.9), rng.uniform(0.05, 0.95))
-            h0 = rng.uniform(1e-6, 0.9)
-            rate = rr_hacked(design, h0)
-            if rate <= 0.0:
-                continue
-            root = _solve_h_for_rate(rate, design)
-            assert root == pytest.approx(h0, abs=1e-8)
-            assert abs(rr_hacked(design, root) - rate) <= 1e-9
-            checked += 1
+    @settings(max_examples=500, deadline=None)
+    @given(design=DESIGNS, h0=st.floats(0.0, 1.0, exclude_max=True))
+    def test_round_trip_property(self, design, h0):
+        # the h root shared by every fit inverts rr_hacked wherever it moves with h
+        assume(live_masses(design) is not None)
+        fp, tp = masses(design)
+        rate = rr_hacked(design, h0)
+        root = _h_root(rate, fp, tp)
+        if tp == 0.0:
+            assert root is None  # rate 0: no h fits
+            return
+        if root is None:
+            assert h0 <= 1e-8  # rate within rounding of its h = 0 value
+            return
+        assert root == pytest.approx(h0, abs=1e-8)
+        assert abs(rr_hacked(design, root) - rate) <= 1e-9
+
+    @settings(max_examples=500, deadline=None)
+    @given(design=DESIGNS, counts=st.integers(1, 10**6).flatmap(
+        lambda total: st.tuples(st.just(total), st.integers(0, total))))
+    def test_fit_h_inverts_rr_hacked(self, design, counts):
+        data = ReplicationData(*counts)
+        if live_masses(design) is None:
+            with pytest.raises(DegenerateDesignError):
+                fit_h(data, design)
+            return
+        fp, tp = masses(design)
+        if not 0.0 < data.rate < tp / (fp + tp):
+            with pytest.raises(NoRootError):
+                fit_h(data, design)
+            return
+        try:
+            h = fit_h(data, design)
+        except NoRootError:  # rate within rounding of the no-hacking rate
+            assert data.rate == pytest.approx(tp / (fp + tp), rel=1e-12)
+            return
+        assert 0.0 < h < 1.0
+        assert abs(rr_hacked(design, h) - data.rate) <= 1e-9
 
     def test_counts_validation(self):
         with pytest.raises(DomainError):
@@ -163,19 +201,23 @@ class TestFitHStratified:
         counts=st.integers(1, 1000).flatmap(lambda total: st.tuples(st.just(total), st.integers(0, total))),
     )
     def test_threshold_clustering_exact_root(self, design, p_low, width, counts):
-        # random splits, strata wholly below, across and above the cutoff
+        # random splits, strata wholly below, across and above the cutoff;
+        # the pooled rate 1e-9 lies below every drawn design's no-hacking rate
         stratum = ReplicationStratum(p_low, p_low + width, *counts)
+        data = ReplicationData(10**9, 1, (stratum,))
         rate = stratum.rate
-        tp, fp = _stratum_split(design, stratum)
+        fp, tp, _ = _stratum_split(design, stratum)
         k = tp - rate * (tp + fp)
         holds = stratum.p_low < design.alpha <= stratum.p_high
         if rate <= 0.0 or k <= 0.0 or not holds:
             with pytest.raises(NoRootError):
-                _solve_h_clustered(design, stratum)
+                fit_h_stratified(data, design, model="threshold_clustering")
             return
-        root = _solve_h_clustered(design, stratum)
-        assert 0.0 < root < 1.0
-        assert abs(_clustered_stratum_rate(design, stratum, root) - rate) <= 1e-12
+        est = fit_h_stratified(data, design, model="threshold_clustering")
+        (rec,) = est.residuals
+        assert est.range_low == est.range_high == rec["root"]
+        assert 0.0 < rec["root"] < 1.0
+        assert abs(rec["fitted"] - rate) <= 1e-12
 
     @pytest.mark.parametrize("power, near", [(1.0, 1.0 - 1e-12), (0.0, 1e-12)],
                              ids=["power-1", "power-0"])
@@ -239,15 +281,21 @@ class TestSolvePsi:
         assert sol.achievable
         assert sol.psi == 1.0
 
-    def test_round_trip_with_rr_ratio(self):
-        rng = np.random.default_rng(12)
-        for _ in range(100):
-            h = rng.uniform(0.01, 0.5)
-            psi = rng.uniform(0.0, 1.0)
-            target = rr_ratio(NEW, OLD, h, psi)
-            sol = solve_psi_for_rr_ratio(target, NEW, OLD, h)
-            assert sol.achievable
-            assert rr_ratio(NEW, OLD, h, sol.psi) == pytest.approx(target, abs=1e-8)
+    @settings(max_examples=500, deadline=None)
+    @given(new=DESIGNS, old=DESIGNS, h=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           psi=st.floats(0.0, 1.0))
+    def test_round_trip_with_rr_ratio(self, new, old, h, psi):
+        # solve_psi_for_rr_ratio inverts rr_ratio wherever it calls the target achievable
+        assume(live_masses(new, h, 0.0) is not None and live_masses(old, h) is not None)
+        assume(masses(new, h, 0.0)[1] > 0.0 and rr_hacked(old, h) > 0.0)
+        target = rr_ratio(new, old, h, psi)
+        sol = solve_psi_for_rr_ratio(target, new, old, h)
+        if sol.achievable:
+            assert 0.0 <= sol.psi <= 1.0
+            assert abs(rr_ratio(new, old, h, sol.psi) - target) <= 1e-12 * target
+        else:
+            # only when rounding puts the target past the ratio at the boundary
+            assert rr_ratio(new, old, h, sol.psi) == pytest.approx(target, rel=1e-12)
 
     def test_unachievable_boundaries(self):
         too_high = rr_ratio(NEW, OLD, 0.05, 0.0) * 2.0
@@ -256,8 +304,6 @@ class TestSolvePsi:
         too_low = rr_ratio(NEW, OLD, 0.05, 1.0) / 2.0
         sol = solve_psi_for_rr_ratio(too_low, NEW, OLD, 0.05)
         assert not sol.achievable and sol.psi == 1.0
-        with pytest.raises(UnachievableError):
-            solve_psi_for_rr_ratio(too_high, NEW, OLD, 0.05, strict=True)
 
     def test_requires_positive_h(self):
         with pytest.raises(DomainError):

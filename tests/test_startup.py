@@ -63,7 +63,7 @@ def test_light_paths_load_neither(tmp_path, argv, want_code, want_loaded):
 @pytest.mark.parametrize("argv, want_loaded", [
     (["fit", "--builtin", "psych-rep", "--stratified", "--model", "threshold_clustering"],
      sorted(BASE + ["estimator"])),
-    (["simulate", "--n", "20000", "--seed", "42", "--h", "0.05", "--cutoff", "0.005"],
+    (["simulate", "--n", "20000", "--seed", "42", "--h", "0.05", "--alpha", "0.005"],
      sorted(BASE + ["mc"])),
 ], ids=["fit-clustered", "simulate"])
 def test_heavy_paths_load_on_demand(capsys, argv, want_loaded):
