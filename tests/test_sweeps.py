@@ -35,16 +35,19 @@ def all_results():
     ]
 
 
+FIGURE_IDS = [
+    "figure1", "figure2", "figure3_h0.05", "figure3_h0.15",
+    "figure4", "figure5_h0.05", "figure5_h0.15",
+]
+
+
 class TestGoldenSnapshots:
-    @pytest.mark.parametrize("figure_id", [
-        "figure1", "figure2", "figure3_h0.05", "figure3_h0.15",
-        "figure4", "figure5_h0.05", "figure5_h0.15",
-    ])
+    @pytest.mark.parametrize("figure_id", FIGURE_IDS)
     def test_csv_matches_golden(self, figure_id):
         result = next(r for r in all_results() if r.figure_id == figure_id)
         assert render_csv(result) == (GOLDEN / f"{figure_id}.csv").read_text()
 
-    @pytest.mark.parametrize("figure_id", ["figure1", "figure5_h0.15"])
+    @pytest.mark.parametrize("figure_id", FIGURE_IDS)
     def test_svg_matches_golden(self, figure_id):
         result = next(r for r in all_results() if r.figure_id == figure_id)
         assert render_svg(result) == (GOLDEN / f"{figure_id}.svg").read_text()
