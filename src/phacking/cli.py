@@ -33,12 +33,13 @@ EXIT_USAGE = 2
 EXIT_DOMAIN = 3
 
 def _parse_prior_odds(text: str) -> float:
-    """``A:B`` odds in favor of H1 -> phi = B / (A + B)."""
+    """``A:B`` odds in favor of H1, both parts non-negative with a finite,
+    positive sum -> phi = B / (A + B)."""
     try:
         a, b = (float(part) for part in text.split(":"))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected A:B, got {text!r}")
-    if a < 0 or b < 0 or a + b == 0:
+    if a < 0 or b < 0 or not 0 < a + b < math.inf:
         raise argparse.ArgumentTypeError(f"bad odds {text!r}")
     return b / (a + b)
 

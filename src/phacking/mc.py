@@ -85,12 +85,12 @@ def simulate(config: SimConfig) -> SimOutcome:
     cutoff = config.cutoff
     psi = resolve_psi(config.hacking, cutoff)
     # A sound false-null study rejects with the normal shift's power at the
-    # cutoff, 1 - beta up to rounding; at beta = 0 or 1 the shift is
-    # infinite and it rejects always or never.
-    if design.beta in (0.0, 1.0):
-        power = 1.0 - design.beta
-    else:
-        power = power_at_new_cutoff(1.0 - design.beta, cutoff, cutoff)
+    # cutoff, 1 - beta up to rounding; at power 0 or 1 (also a beta so small
+    # that 1 - beta rounds to 1) the shift is infinite and it rejects always
+    # or never.
+    power = design.power
+    if power not in (0.0, 1.0):
+        power = power_at_new_cutoff(power, cutoff, cutoff)
 
     rng = random.Random(config.seed)
     # Fixed draw order: each count given the ones drawn before it.

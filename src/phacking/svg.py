@@ -11,6 +11,9 @@ MARGIN_LEFT = 70
 MARGIN_RIGHT = 170
 MARGIN_TOP = 40
 MARGIN_BOTTOM = 60
+PLOT_W = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
+PLOT_H = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
+LEGEND_X = WIDTH - MARGIN_RIGHT + 10
 
 COLORS = ["#1f77b4", "#d62728", "#2ca02c", "#ff7f0e", "#9467bd", "#8c564b", "#17becf", "#7f7f7f"]
 
@@ -33,6 +36,20 @@ def _header(title: str) -> list[str]:
     ]
 
 
+def _x_tick(x: float, value: float) -> str:
+    return (f'<text x="{_fmt(x)}" y="{HEIGHT - MARGIN_BOTTOM + 18}" text-anchor="middle">'
+            f"{_fmt(value)}</text>")
+
+
+def _y_tick(y: float, value: float) -> str:
+    return f'<text x="{MARGIN_LEFT - 8}" y="{_fmt(y + 4)}" text-anchor="end">{_fmt(value)}</text>'
+
+
+def _x_label(label: str) -> str:
+    return (f'<text x="{MARGIN_LEFT + PLOT_W / 2}" y="{HEIGHT - 14}" text-anchor="middle">'
+            f"{_escape(label)}</text>")
+
+
 def line_chart(
     title: str,
     x_label: str,
@@ -48,65 +65,49 @@ def line_chart(
     y_lo, y_hi = min(ys + [0.0]), max(ys + [1e-9])
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
-    if y_hi == y_lo:
-        y_hi = y_lo + 1.0
-
-    plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
-    plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
     def px(x):
-        return MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
+        return MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * PLOT_W
 
     def py(y):
-        return MARGIN_TOP + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
+        return MARGIN_TOP + PLOT_H - (y - y_lo) / (y_hi - y_lo) * PLOT_H
 
     out = _header(title)
     out.append(
-        f'<rect x="{MARGIN_LEFT}" y="{MARGIN_TOP}" width="{plot_w}" height="{plot_h}" '
+        f'<rect x="{MARGIN_LEFT}" y="{MARGIN_TOP}" width="{PLOT_W}" height="{PLOT_H}" '
         'fill="none" stroke="#333"/>'
     )
     for i in range(5):
         xv = x_lo + (x_hi - x_lo) * i / 4
         yv = y_lo + (y_hi - y_lo) * i / 4
-        out.append(
-            f'<text x="{_fmt(px(xv))}" y="{HEIGHT - MARGIN_BOTTOM + 18}" text-anchor="middle">'
-            f"{_fmt(xv)}</text>"
-        )
-        out.append(
-            f'<text x="{MARGIN_LEFT - 8}" y="{_fmt(py(yv) + 4)}" text-anchor="end">{_fmt(yv)}</text>'
-        )
-    out.append(
-        f'<text x="{MARGIN_LEFT + plot_w / 2}" y="{HEIGHT - 14}" text-anchor="middle">'
-        f"{_escape(x_label)}</text>"
-    )
+        out.append(_x_tick(px(xv), xv))
+        out.append(_y_tick(py(yv), yv))
+    out.append(_x_label(x_label))
     legend_y = MARGIN_TOP + 10
     for i, (name, sx, sy) in enumerate(series):
         color = COLORS[i % len(COLORS)]
         points = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(sx, sy))
         out.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>')
         out.append(
-            f'<line x1="{WIDTH - MARGIN_RIGHT + 10}" y1="{legend_y}" '
-            f'x2="{WIDTH - MARGIN_RIGHT + 34}" y2="{legend_y}" stroke="{color}" stroke-width="1.5"/>'
+            f'<line x1="{LEGEND_X}" y1="{legend_y}" x2="{LEGEND_X + 24}" y2="{legend_y}" '
+            f'stroke="{color}" stroke-width="1.5"/>'
         )
-        out.append(
-            f'<text x="{WIDTH - MARGIN_RIGHT + 40}" y="{legend_y + 4}">{_escape(name)}</text>'
-        )
+        out.append(f'<text x="{LEGEND_X + 30}" y="{legend_y + 4}">{_escape(name)}</text>')
         legend_y += 18
     for name, value in references:
         out.append(
-            f'<line x1="{MARGIN_LEFT}" y1="{_fmt(py(value))}" x2="{MARGIN_LEFT + plot_w}" '
+            f'<line x1="{MARGIN_LEFT}" y1="{_fmt(py(value))}" x2="{MARGIN_LEFT + PLOT_W}" '
             f'y2="{_fmt(py(value))}" stroke="#555" stroke-width="1" stroke-dasharray="5,4"/>'
         )
         out.append(
-            f'<text x="{WIDTH - MARGIN_RIGHT + 10}" y="{legend_y + 4}" fill="#555">'
-            f"{_escape(name)} = {_fmt(value)}</text>"
+            f'<text x="{LEGEND_X}" y="{legend_y + 4}" fill="#555">{_escape(name)} = {_fmt(value)}</text>'
         )
         legend_y += 18
     out.append("</svg>")
     return "\n".join(out) + "\n"
 
 
-def _cell_color(value: float, lo: float, hi: float, below_one: bool | None) -> str:
+def _cell_color(value: float, lo: float, hi: float, below_one: bool) -> str:
     if below_one:
         return "#d62728"
     t = 0.0 if hi == lo else (value - lo) / (hi - lo)
@@ -130,50 +131,31 @@ def heatmap(
     x_values[j]).  Cells flagged in ``below_one`` are drawn red."""
     flat = [v for row in grid for v in row]
     lo, hi = min(flat), max(flat)
-    plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
-    plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
-    cw = plot_w / len(x_values)
-    ch = plot_h / len(y_values)
+    cw = PLOT_W / len(x_values)
+    ch = PLOT_H / len(y_values)
 
     out = _header(title)
-    for i, yv in enumerate(y_values):
-        for j, xv in enumerate(x_values):
-            flag = bool(below_one[i][j]) if below_one is not None else None
-            color = _cell_color(grid[i][j], lo, hi, flag)
+    for i in range(len(y_values)):
+        for j in range(len(x_values)):
+            color = _cell_color(grid[i][j], lo, hi, below_one is not None and below_one[i][j])
             x = MARGIN_LEFT + j * cw
-            y = MARGIN_TOP + plot_h - (i + 1) * ch
+            y = MARGIN_TOP + PLOT_H - (i + 1) * ch
             out.append(
                 f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(cw)}" height="{_fmt(ch)}" '
                 f'fill="{color}" stroke="#ddd" stroke-width="0.3"/>'
             )
     step_x = max(1, len(x_values) // 8)
     for j in range(0, len(x_values), step_x):
-        x = MARGIN_LEFT + (j + 0.5) * cw
-        out.append(
-            f'<text x="{_fmt(x)}" y="{HEIGHT - MARGIN_BOTTOM + 18}" text-anchor="middle">'
-            f"{_fmt(x_values[j])}</text>"
-        )
+        out.append(_x_tick(MARGIN_LEFT + (j + 0.5) * cw, x_values[j]))
     step_y = max(1, len(y_values) // 8)
     for i in range(0, len(y_values), step_y):
-        y = MARGIN_TOP + plot_h - (i + 0.5) * ch
-        out.append(
-            f'<text x="{MARGIN_LEFT - 8}" y="{_fmt(y + 4)}" text-anchor="end">{_fmt(y_values[i])}</text>'
-        )
+        out.append(_y_tick(MARGIN_TOP + PLOT_H - (i + 0.5) * ch, y_values[i]))
+    out.append(_x_label(x_label))
     out.append(
-        f'<text x="{MARGIN_LEFT + plot_w / 2}" y="{HEIGHT - 14}" text-anchor="middle">'
-        f"{_escape(x_label)}</text>"
+        f'<text x="18" y="{MARGIN_TOP + PLOT_H / 2}" text-anchor="middle" '
+        f'transform="rotate(-90 18 {MARGIN_TOP + PLOT_H / 2})">{_escape(y_label)}</text>'
     )
-    out.append(
-        f'<text x="18" y="{MARGIN_TOP + plot_h / 2}" text-anchor="middle" '
-        f'transform="rotate(-90 18 {MARGIN_TOP + plot_h / 2})">{_escape(y_label)}</text>'
-    )
-    out.append(
-        f'<text x="{WIDTH - MARGIN_RIGHT + 10}" y="{MARGIN_TOP + 10}">'
-        f"min = {_fmt(lo)}</text>"
-    )
-    out.append(
-        f'<text x="{WIDTH - MARGIN_RIGHT + 10}" y="{MARGIN_TOP + 28}">'
-        f"max = {_fmt(hi)}</text>"
-    )
+    out.append(f'<text x="{LEGEND_X}" y="{MARGIN_TOP + 10}">min = {_fmt(lo)}</text>')
+    out.append(f'<text x="{LEGEND_X}" y="{MARGIN_TOP + 28}">max = {_fmt(hi)}</text>')
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -57,6 +57,12 @@ class TestRates:
         assert by_pi == run(capsys, "rates", "--alpha", "0.005", "--h", "0.1", "--psi", "0.3")
         assert json.loads(by_pi[1])["resolved_psi"] == 0.3
 
+    @pytest.mark.parametrize("odds", ["1:inf", "nan:1", "inf:1", "1e308:1e308"])
+    def test_non_finite_prior_odds_exit_2(self, capsys, odds):
+        code, out, err = run(capsys, "rates", "--prior-odds", odds, "--h", "0.1")
+        assert (code, out) == (2, "")
+        assert f"bad odds '{odds}'" in err
+
     @pytest.mark.parametrize("flag", ["--pi", "--psi"])
     def test_persistence_out_of_range_exit_3(self, capsys, flag):
         code, out, err = run(capsys, "rates", "--alpha", "0.005", flag, "1.5")
@@ -227,6 +233,13 @@ class TestSimulate:
         code, out, err = run(capsys, "simulate", "--cutoff", "0.005")
         assert (code, out) == (2, "")
         assert "unrecognized arguments: --cutoff 0.005" in err
+
+    def test_beta_below_rounding_is_full_power(self, capsys):
+        # 1 - 1e-20 rounds to 1.0, so the design has power 1, as at beta 0
+        args = ("simulate", "--n", "1000", "--h", "0.05", "--seed", "1", "--beta")
+        code, out, err = run(capsys, *args, "1e-20")
+        assert (code, err) == (0, "")
+        assert out == run(capsys, *args, "0")[1]
 
     def test_negative_seed_exit_3(self, capsys):
         code, _, err = run(capsys, "simulate", "--n", "1000", "--seed", "-1")

@@ -66,9 +66,9 @@ RECORDS = [
     (CheckRow, ("fpr", 0.5, 0.5, 0.0, True), _ROW_REPR),
     (CrosscheckReport, (SimOutcome(*OUTCOME_ARGS), (ROW,), False),
      f"CrosscheckReport(outcome={_OUTCOME_REPR}, rows=({_ROW_REPR},), empty_denominator=False)"),
-    (SweepResult, ("f", "line", (("x", (0.0,)),), ("v",), (((0.0,), (1.0,)),), {}),
+    (SweepResult, ("f", "line", (("x", (0.0,)),), ("v",), (((0.0,), (1.0,)),), (("r", 0.5),)),
      "SweepResult(figure_id='f', kind='line', axes=(('x', (0.0,)),), columns=('v',), "
-     "rows=(((0.0,), (1.0,)),), metadata={})"),
+     "rows=(((0.0,), (1.0,)),), references=(('r', 0.5),))"),
 ]
 IDS = [cls.__name__ for cls, _, _ in RECORDS]
 
@@ -94,11 +94,7 @@ def test_immutable(cls, args, want):
 def test_equal_values_hash_equal(cls, args, want):
     a, b = cls(*args), cls(*copy.deepcopy(args))
     assert a == b and a is not b
-    if cls is SweepResult:  # a dict field makes it unhashable, as before
-        with pytest.raises(TypeError):
-            hash(a)
-    else:
-        assert hash(a) == hash(b)
+    assert hash(a) == hash(b)
     assert pickle.loads(pickle.dumps(a)) == a
 
 
@@ -106,8 +102,7 @@ def test_defaults():
     assert HackingRegime(0.1) == HackingRegime(0.1, 0.05, 1.0)
     assert ReplicationData(97, 36).strata == ()
     assert HackingEstimate(0.1, 0.05, 0.15).residuals == ()
-    first, second = (SweepResult("f", "line", (), (), ()) for _ in range(2))
-    assert first.metadata == {} and first.metadata is not second.metadata
+    assert SweepResult("f", "line", (), (), ()).references == ()
     assert Claim("x", float, 0.0, 0.0).info is False
 
 

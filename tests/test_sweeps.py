@@ -83,7 +83,7 @@ class TestFigure2:
 class TestFigure3:
     def test_references_and_endpoint(self):
         result = sweep_figure3(0.05)
-        refs = result.metadata["references"]
+        refs = dict(result.references)
         assert refs["fpr_hacked_0.05"] == pytest.approx(0.5742, abs=5e-4)
         lookup = dict(result.rows)
         assert lookup[(1.0,)][0] == pytest.approx(0.4402, abs=5e-4)
@@ -94,15 +94,9 @@ class TestFigure3:
 
     def test_h_zero_collapses_to_bottom_reference(self):
         result = sweep_figure3(0.0)
-        bottom = result.metadata["references"]["fpr_sound_0.005"]
+        bottom = dict(result.references)["fpr_sound_0.005"]
         for _, (value,) in result.rows:
             assert value == pytest.approx(bottom, abs=1e-15)
-
-    def test_interpolated_override(self):
-        result = sweep_figure3(0.1, naive_cdf=0.3)
-        lookup = dict(result.rows)
-        new = TestDesign(0.005, 0.20, DEFAULT_PHI)
-        assert lookup[(0.0,)][0] == pytest.approx(fpr_bound(new, 0.1, 0.3), abs=1e-15)
 
 
 class TestFigure4:
