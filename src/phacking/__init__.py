@@ -21,12 +21,12 @@ _EXPORTS = {
     "rates": (
         "DirectPsi", "HackingRegime", "InterpolatedPsi", "OutcomeTable", "Rates", "TestDesign",
         "fpr_bound", "fpr_hacked", "fpr_regime", "fpr_sound", "interpolated_psi", "masses",
-        "power_at_new_cutoff", "resolve_psi", "rr_hacked", "rr_regime", "rr_sound",
-        "table_regime",
+        "power_at_new_cutoff", "resolve_psi", "rr_hacked", "rr_ratio", "rr_regime",
+        "rr_sound", "table_regime",
     ),
     "estimator": (
         "PSYCH_REP", "HackingEstimate", "PsiSolution", "ReplicationData", "ReplicationStratum",
-        "fit_h", "fit_h_stratified", "rr_ratio", "solve_psi_for_rr_ratio",
+        "fit_h", "fit_h_stratified", "solve_psi_for_rr_ratio",
     ),
     "mc": ("CrosscheckReport", "SimConfig", "SimOutcome", "crosscheck", "simulate"),
     "sweeps": (

@@ -58,9 +58,9 @@ CLAIMS = (
     Claim("stratified range high vs 0.15",
           lambda: estimator.fit_h_stratified(estimator.PSYCH_REP, _OLD).range_high, 0.15, 0.03),
     Claim("rr ratio at power 0.50, h=0.05, psi=0.75",
-          lambda: estimator.rr_ratio(_NEW_50, _OLD, 0.05, 0.75), 1.19, 0.01),
+          lambda: rates.rr_ratio(_NEW_50, _OLD, 0.05, 0.75), 1.19, 0.01),
     Claim("rr ratio at power 0.50, h=0.15, psi=1",
-          lambda: estimator.rr_ratio(_NEW_50, _OLD, 0.15, 1.0), 0.81, 0.01),
+          lambda: rates.rr_ratio(_NEW_50, _OLD, 0.15, 1.0), 0.81, 0.01),
     Claim("rr at power 0.50, h=0.05, psi=0.75",
           lambda: rates.rr_regime(_NEW_50, 0.05, 0.75), 0.51, 0.005),
     Claim("rr at power 0.50, h=0.15, psi=1",

@@ -68,6 +68,8 @@ def _add_hacking_flags(parser):
 
 
 def _design_from(args) -> rates.TestDesign:
+    if args.power is not None:
+        rates._check_prob("power", args.power)  # before 1 - power turns it into a beta
     beta = args.beta if args.beta is not None else 1.0 - (args.power if args.power is not None else 0.8)
     phi = args.phi if args.phi is not None else (args.prior_odds if args.prior_odds is not None else rates.DEFAULT_PHI)
     return rates.TestDesign(args.alpha, beta, phi)

@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .errors import DomainError, NoRootError
-from .rates import TestDesign, masses, power_at_new_cutoff, rr_hacked, rr_regime
+from .rates import TestDesign, masses, power_at_new_cutoff, rr_hacked, rr_ratio
 
 class ReplicationStratum(namedtuple("ReplicationStratum", "p_low p_high total replicated")):
     __slots__ = ()
@@ -193,15 +193,6 @@ def fit_h_stratified(
         raise NoRootError("no stratum admitted a root")
     return HackingEstimate(point=point, range_low=min(roots), range_high=max(roots),
                            residuals=tuple(residuals))
-
-
-def rr_ratio(design_new: TestDesign, design_old: TestDesign, h: float, psi: float) -> float:
-    """Replication rate under the new cutoff relative to the hacked
-    replication rate under the old cutoff."""
-    old = rr_hacked(design_old, h)
-    if old == 0.0:
-        raise DomainError("old replication rate is 0: ratio undefined")
-    return rr_regime(design_new, h, psi) / old
 
 
 PsiSolution = namedtuple("PsiSolution", "psi achievable")

@@ -27,7 +27,7 @@ import random
 from collections import namedtuple
 
 from .errors import DegenerateConfigError
-from .rates import CELLS, HackingRegime, TestDesign, fpr_regime, power_at_new_cutoff, resolve_psi, rr_regime
+from .rates import CELLS, HackingRegime, TestDesign, fpr_regime, resolve_psi, rr_regime
 
 GENERATOR_NAME = "python-MT19937-binomial"
 
@@ -84,13 +84,6 @@ def simulate(config: SimConfig) -> SimOutcome:
     design = config.design
     cutoff = config.cutoff
     psi = resolve_psi(config.hacking, cutoff)
-    # A sound false-null study rejects with the normal shift's power at the
-    # cutoff, 1 - beta up to rounding; at power 0 or 1 (also a beta so small
-    # that 1 - beta rounds to 1) the shift is infinite and it rejects always
-    # or never.
-    power = design.power
-    if power not in (0.0, 1.0):
-        power = power_at_new_cutoff(power, cutoff, cutoff)
 
     rng = random.Random(config.seed)
     # Fixed draw order: each count given the ones drawn before it.
@@ -99,7 +92,7 @@ def simulate(config: SimConfig) -> SimOutcome:
     n_sound_true = _binomial(rng, n - n_unsound, design.phi)
     n_sound_false = n - n_unsound - n_sound_true
     str_ = _binomial(rng, n_sound_true, cutoff)
-    sfr = _binomial(rng, n_sound_false, power)
+    sfr = _binomial(rng, n_sound_false, design.power)
 
     n_sig = str_ + sfr + ur
     if n_sig == 0:
@@ -136,12 +129,12 @@ def simulate(config: SimConfig) -> SimOutcome:
 CheckRow = namedtuple("CheckRow", "name closed_form empirical z_score ok")
 
 
-class CrosscheckReport(namedtuple("CrosscheckReport", "outcome rows empty_denominator")):
+class CrosscheckReport(namedtuple("CrosscheckReport", "outcome rows")):
     __slots__ = ()
 
     @property
     def all_ok(self) -> bool:
-        return not self.empty_denominator and all(r.ok for r in self.rows)
+        return not self.outcome.empty_denominator and all(r.ok for r in self.rows)
 
 
 def crosscheck(config: SimConfig) -> CrosscheckReport:
@@ -153,16 +146,17 @@ def crosscheck(config: SimConfig) -> CrosscheckReport:
     closed_fpr = fpr_regime(design_new, config.hacking.h, psi)
     closed_rr = rr_regime(design_new, config.hacking.h, psi)
     if outcome.empty_denominator:
-        return CrosscheckReport(outcome=outcome, rows=(), empty_denominator=True)
+        return CrosscheckReport(outcome=outcome, rows=())
     rows = []
     for name, closed, emp in (
         ("fpr", closed_fpr, outcome.empirical_fpr),
         ("rr", closed_rr, outcome.empirical_rr),
     ):
-        se = math.sqrt(closed * (1.0 - closed) / outcome.n_significant)
+        # Two roots, so that a closed form near 5e-324 gives a positive se, not 0.
+        se = math.sqrt(closed) * math.sqrt((1.0 - closed) / outcome.n_significant)
         z = 0.0 if se == 0.0 and emp == closed else (emp - closed) / se if se > 0.0 else math.inf
         rows.append(CheckRow(name=name, closed_form=closed, empirical=emp, z_score=z, ok=abs(z) <= Z_LIMIT))
-    return CrosscheckReport(outcome=outcome, rows=tuple(rows), empty_denominator=False)
+    return CrosscheckReport(outcome=outcome, rows=tuple(rows))
 
 
 def _binomial(rng: random.Random, n: int, p: float) -> int:

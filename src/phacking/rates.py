@@ -70,14 +70,16 @@ class TestDesign(namedtuple("TestDesign", "alpha beta phi")):
 def interpolated_psi(pi: float, naive_cdf: float = 0.0) -> float:
     """Persistence interpolated between the naive CDF value of hacked
     P-values below the new cutoff (pi = 0) and full persistence (pi = 1):
-    pi + (1 - pi) * naive_cdf.
+    pi + (1 - pi) * naive_cdf, symmetric in the two and computed from the
+    larger one, so that it never rounds below either.
 
     The default naive_cdf = 0 is the conservative lower bound psi = pi:
     any interpolated persistence with the same pi is at least this large.
     """
     _check_prob("pi", pi)
     _check_prob("naive_cdf", naive_cdf)
-    return pi + (1.0 - pi) * naive_cdf
+    hi, lo = max(pi, naive_cdf), min(pi, naive_cdf)
+    return hi + (1.0 - hi) * lo
 
 
 # The benchmark in perfbench/ is the only caller of these two names, and it
@@ -239,6 +241,15 @@ def rr_regime(design_new: TestDesign, h: float, psi: float) -> float:
     """Replication rate at a lowered cutoff; complementary to fpr_regime."""
     fp, tp = masses(design_new, h, psi)
     return tp / (fp + tp)
+
+
+def rr_ratio(design_new: TestDesign, design_old: TestDesign, h: float, psi: float) -> float:
+    """Replication rate under the new cutoff relative to the hacked
+    replication rate under the old cutoff."""
+    old = rr_hacked(design_old, h)
+    if old == 0.0:
+        raise DomainError("old replication rate is 0: ratio undefined")
+    return rr_regime(design_new, h, psi) / old
 
 
 def fpr_bound(design_new: TestDesign, h: float, pi: float) -> float:

@@ -2,9 +2,8 @@
 SVG rendering.
 
 All sweep cells are computed by calling the closed-form functions in
-:mod:`phacking.rates` / :mod:`phacking.estimator`; nothing here
-reimplements a formula.  CSV is the canonical artifact; SVG is a derived
-view.
+:mod:`phacking.rates`; nothing here reimplements a formula.  CSV is the
+canonical artifact; SVG is a derived view.
 """
 
 from __future__ import annotations
@@ -14,8 +13,7 @@ from collections import namedtuple
 
 from . import svg
 from .errors import DomainError, UnsupportedShapeError
-from .rates import DEFAULT_PHI, TestDesign, fpr_bound, fpr_hacked, fpr_sound, rr_sound
-from .estimator import rr_ratio
+from .rates import DEFAULT_PHI, TestDesign, fpr_bound, fpr_hacked, fpr_sound, rr_ratio, rr_sound
 
 DEFAULT_BETA = 0.20
 
@@ -81,7 +79,7 @@ def sweep_figure3(h: float) -> SweepResult:
     references = (("fpr_hacked_0.05", fpr_hacked(_OLD, h)),
                   ("fpr_sound_0.005", fpr_sound(new)),
                   ("fpr_sound_0.05", fpr_sound(_OLD)))
-    return _sweep(f"figure3_h{h:g}", "line", (("pi", _PI_GRID),), ("fpr_bound",),
+    return _sweep(f"figure3_h{h!r}", "line", (("pi", _PI_GRID),), ("fpr_bound",),
                   lambda pi: (fpr_bound(new, h, pi),), references)
 
 
@@ -102,7 +100,7 @@ def sweep_figure5(h: float) -> SweepResult:
         return ratio, float(ratio < 1.0)
 
     axes = (("power", _POWER_COARSE), ("psi", _PSI_COARSE))
-    return _sweep(f"figure5_h{h:g}", "heatmap", axes, ("ratio", "below_one"), cell)
+    return _sweep(f"figure5_h{h!r}", "heatmap", axes, ("ratio", "below_one"), cell)
 
 
 #: Figure id -> (sweep, default hacking rates).  Sweeps with default

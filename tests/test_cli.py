@@ -1,10 +1,16 @@
+import contextlib
+import io
 import json
 import os
+import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from phacking.cli import main
 from phacking.mc import GENERATOR_NAME
@@ -15,6 +21,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def strict_json(text):
+    """``text`` parsed as RFC 8259 JSON, which has no NaN or infinity."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
 
 
 class TestRates:
@@ -67,6 +81,12 @@ class TestRates:
     def test_persistence_out_of_range_exit_3(self, capsys, flag):
         code, out, err = run(capsys, "rates", "--alpha", "0.005", flag, "1.5")
         assert (code, out, err) == (3, "", f"error: {flag[2:]}=1.5 outside [0.0, 1.0]\n")
+
+    @pytest.mark.parametrize("command", ["rates", "simulate"])
+    @pytest.mark.parametrize("power", ["nan", "inf", "2", "-1"])
+    def test_power_out_of_range_names_power(self, capsys, command, power):
+        code, out, err = run(capsys, command, "--power", power)
+        assert (code, out, err) == (3, "", f"error: power={float(power)!r} outside [0.0, 1.0]\n")
 
     def test_json_round_trip(self, capsys):
         args = ["rates", "--alpha", "0.01", "--power", "0.7", "--phi", "0.8", "--h", "0.1"]
@@ -176,6 +196,12 @@ class TestSweep:
         assert "below_one" in csv.splitlines()[0]
         assert (tmp_path / "figure5_h0.15.svg").read_text().startswith("<?xml")
 
+    @pytest.mark.parametrize("figure", ["3", "5"])
+    def test_figure_id_keeps_every_digit_of_h(self, capsys, tmp_path, figure):
+        code, out, _ = run(capsys, "sweep", "--figure", figure, "--h", "0.99999999",
+                           "--out", str(tmp_path))
+        assert (code, out) == (0, f"{tmp_path / f'figure{figure}_h0.99999999.csv'}\n")
+
     def test_help_names_every_figure(self, capsys):
         assert main(["sweep", "--help"]) == 0
         out = " ".join(capsys.readouterr().out.split())
@@ -217,6 +243,14 @@ class TestSimulate:
         record = json.loads(out, parse_constant=reject)
         assert record["empty_denominator"] is True
         assert [record[key] for key in ("empirical_fpr", "empirical_rr", "se_fpr", "se_rr")] == [None] * 4
+
+    @pytest.mark.parametrize("flag", [("--phi", "1e-320"), ("--prior-odds", "1:1e-320")],
+                             ids=["phi", "prior-odds"])
+    def test_tiny_false_positive_rate_prints_finite_z(self, capsys, flag):
+        # the closed-form FPR is about 6e-322, and its standard error must not underflow to 0
+        code, out, _ = run(capsys, "simulate", *flag, "--n", "1000", "--seed", "1")
+        assert code == 0
+        assert all(row["ok"] for row in strict_json(out)["crosscheck"])
 
     def test_all_hacked(self, capsys):
         code, out, _ = run(capsys, "simulate", "--n", "10000", "--seed", "1",
@@ -335,3 +369,75 @@ def test_replays_golden_calls(capsys):
         code = main([arg.format(golden=golden) for arg in call["argv"]])
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (call["code"], call["stdout"], call["stderr"]), name
+
+
+# CLI contract: every call exits 0, 2 or 3 without a traceback, prints strict
+# JSON on success, names an input it was given when it rejects one, and
+# `sweep` prints the paths it wrote.
+NUMBERS = st.sampled_from(["nan", "inf", "-inf", "-0.0", "5e-324", "1e-320", "1e308", "0", "1",
+                           "0.05", "0.5", "x", ""])
+ODDS = st.one_of(st.builds("{}:{}".format, NUMBERS, NUMBERS), st.sampled_from(["1", "1:2:3"]))
+DESIGN_FLAGS = {"--alpha": NUMBERS, "--beta": NUMBERS, "--power": NUMBERS, "--phi": NUMBERS,
+                "--prior-odds": ODDS}
+HACKING_FLAGS = {"--h": NUMBERS, "--psi": NUMBERS, "--pi": NUMBERS, "--baseline-alpha": NUMBERS}
+#: Subcommand -> flag -> strategy for its value (None for a switch).
+FLAGS = {
+    "rates": {**DESIGN_FLAGS, **HACKING_FLAGS},
+    "fit": {**DESIGN_FLAGS, "--stratified": None,
+            "--model": st.sampled_from(["per_stratum_rate", "threshold_clustering", "x"])},
+    "sweep": {"--figure": st.sampled_from(["1", "2", "3", "4", "5", "9", "x"]), "--h": NUMBERS,
+              "--svg": None},
+    # --n is small or invalid: the contract does not depend on it
+    "simulate": {**DESIGN_FLAGS, **HACKING_FLAGS, "--seed": st.sampled_from(["0", "1", "-1", "x"]),
+                 "--n": st.sampled_from(["0", "1", "1000", "-1", "1e3", "9007199254740993"])},
+}
+#: Names a flag's value goes by in error messages, where they differ from the flag's own.
+FIELDS = {"--alpha": {"alpha", "new_alpha", "cutoff"}, "--prior-odds": {"phi"}, "--n": {"n_tests"}}
+
+
+@st.composite
+def cli_calls(draw):
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    flags = draw(st.lists(st.sampled_from(sorted(FLAGS[command])), unique=True, max_size=4))
+    argv = [command, "--builtin=psych-rep"] if command == "fit" else [command]
+    for flag in flags:
+        value = FLAGS[command][flag]
+        argv.append(flag if value is None else f"{flag}={draw(value)}")
+    return argv
+
+
+def _given(argv):
+    """Each flag in ``argv`` with its value (None for a switch)."""
+    return dict((*arg.split("=", 1), None)[:2] for arg in argv[1:])
+
+
+@settings(max_examples=300)
+@given(cli_calls())
+@example(["rates", "--power=2"])
+@example(["sweep", "--figure=5", "--h=0.99999999"])
+@example(["simulate", "--phi=1e-320", "--n=1000", "--seed=1"])
+def test_cli_contract(argv):
+    given_flags = _given(argv)
+    with tempfile.TemporaryDirectory() as out:
+        if argv[0] == "sweep":
+            argv = [*argv, "--out", out]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        written = sorted(str(path) for path in Path(out).iterdir())
+    assert code in (0, 2, 3), (argv, stderr.getvalue())
+    if code == 3:
+        # A message that names inputs (name=value) names one that was given;
+        # one about a joint condition of the model (no rejections, no root)
+        # names none.
+        named = set(re.findall(r"\b(\w+)=", stderr.getvalue()))
+        fields = set().union(*(FIELDS.get(f, {f[2:].replace("-", "_")}) for f in given_flags))
+        assert not named or named & fields, (argv, stderr.getvalue())
+    elif code == 0 and argv[0] in ("rates", "fit", "simulate"):
+        strict_json(stdout.getvalue())
+    elif code == 0 and argv[0] == "sweep":
+        assert sorted(stdout.getvalue().splitlines()) == written
+        if given_flags.get("--h") is not None:
+            for path in written:
+                h = Path(path).stem.partition("_h")[2]
+                assert float(h) == float(given_flags["--h"]), (argv, path)

@@ -162,7 +162,7 @@ class TestCrosscheck:
             cutoff=1e-6,
         )
         report = crosscheck(cfg)
-        assert report.empty_denominator
+        assert report.outcome.empty_denominator
         assert not report.all_ok
         assert math.isnan(report.outcome.empirical_rr)
 

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.stats import norm
@@ -161,6 +161,8 @@ class TestResolvePsi:
             interpolated_psi(pi, naive_cdf)
 
     @given(HACKING_RATES, CUTOFFS, UNIT, UNIT, st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    @example(0.1, 0.05, 0.06, 0.9999999999999999, 0.5)  # pi + (1 - pi) * q rounds below q
+    @example(0.1, 0.05, 0.9999999999999999, 0.2627273770768252, 0.5)  # q + (1 - q) * pi rounds below pi
     def test_resolved_at_least_pi(self, h, baseline, pi, q, fraction):
         regime = HackingRegime(h, baseline, interpolated_psi(pi, q))
         assert resolve_psi(regime, baseline) == 1.0

@@ -64,8 +64,8 @@ RECORDS = [
      f"hacking={_REGIME_REPR}, cutoff=0.05)"),
     (SimOutcome, OUTCOME_ARGS, _OUTCOME_REPR),
     (CheckRow, ("fpr", 0.5, 0.5, 0.0, True), _ROW_REPR),
-    (CrosscheckReport, (SimOutcome(*OUTCOME_ARGS), (ROW,), False),
-     f"CrosscheckReport(outcome={_OUTCOME_REPR}, rows=({_ROW_REPR},), empty_denominator=False)"),
+    (CrosscheckReport, (SimOutcome(*OUTCOME_ARGS), (ROW,)),
+     f"CrosscheckReport(outcome={_OUTCOME_REPR}, rows=({_ROW_REPR},))"),
     (SweepResult, ("f", "line", (("x", (0.0,)),), ("v",), (((0.0,), (1.0,)),), (("r", 0.5),)),
      "SweepResult(figure_id='f', kind='line', axes=(('x', (0.0,)),), columns=('v',), "
      "rows=(((0.0,), (1.0,)),), references=(('r', 0.5),))"),

@@ -1,6 +1,6 @@
 """Start-up guard: each CLI path loads only the package modules it runs and
 the standard library it needs; no path loads numpy, scipy, dataclasses or
-inspect."""
+inspect, and only the threshold-clustering fit loads statistics."""
 
 import json
 import os
@@ -23,12 +23,13 @@ import json, sys
 from phacking.cli import main
 code = main(sys.argv[1:]) if len(sys.argv) > 1 else None
 loaded = {name.removeprefix("phacking.") for name in sys.modules if name.startswith("phacking.")}
-loaded |= {name.partition(".")[0] for name in sys.modules} & {"numpy", "scipy", "dataclasses", "inspect"}
+loaded |= {name.partition(".")[0] for name in sys.modules} & {
+    "numpy", "scipy", "dataclasses", "inspect", "statistics"}
 print(json.dumps([code, sorted(loaded)]), file=sys.stderr)
 """
 
 BASE = ["cli", "errors", "rates"]
-FIGURES = sorted(BASE + ["estimator", "svg", "sweeps"])
+FIGURES = sorted(BASE + ["svg", "sweeps"])
 
 
 def run_child(*argv):
@@ -49,7 +50,7 @@ def test_import_loads_only_the_standard_library():
     (["fit", "--builtin", "psych-rep"], 0, sorted(BASE + ["estimator"])),
     (["fit", "--builtin", "psych-rep", "--stratified"], 0, sorted(BASE + ["estimator"])),
     (["sweep", "--figure", "5", "--svg", "--out", "{tmp}"], 0, FIGURES),
-    (["reproduce", "--out", "{tmp}"], 0, sorted(FIGURES + ["claims"])),
+    (["reproduce", "--out", "{tmp}"], 0, sorted(FIGURES + ["claims", "estimator"])),
     (["simulate", "--seed", "-1"], 3, sorted(BASE + ["mc"])),
     (["rates", "--beta", "0.2", "--power", "0.8"], 2, BASE),
     (["sweep", "--figure", "9"], 2, FIGURES),
@@ -62,7 +63,7 @@ def test_light_paths_load_neither(tmp_path, argv, want_code, want_loaded):
 
 @pytest.mark.parametrize("argv, want_loaded", [
     (["fit", "--builtin", "psych-rep", "--stratified", "--model", "threshold_clustering"],
-     sorted(BASE + ["estimator"])),
+     sorted(BASE + ["estimator", "statistics"])),
     (["simulate", "--n", "20000", "--seed", "42", "--h", "0.05", "--alpha", "0.005"],
      sorted(BASE + ["mc"])),
 ], ids=["fit-clustered", "simulate"])
