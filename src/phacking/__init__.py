@@ -14,10 +14,7 @@ __version__ = "0.1.0"
 
 #: Submodule -> the public names it provides.
 _EXPORTS = {
-    "errors": (
-        "CutoffAboveBaselineError", "DegenerateConfigError", "DegenerateDesignError",
-        "DomainError", "ModelError", "NoRootError", "UnsupportedShapeError",
-    ),
+    "errors": ("DomainError", "ModelError", "NoRootError"),
     "rates": (
         "DirectPsi", "HackingRegime", "InterpolatedPsi", "OutcomeTable", "Rates", "TestDesign",
         "fpr_bound", "fpr_hacked", "fpr_regime", "fpr_sound", "interpolated_psi", "masses",

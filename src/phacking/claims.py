@@ -1,8 +1,6 @@
 """The paper's headline numbers, checked by ``phacking reproduce`` and the
 acceptance tests.  Only ``reproduce`` imports this module."""
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from . import estimator, rates

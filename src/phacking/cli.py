@@ -15,8 +15,6 @@ entry of ``claims.CLAIMS``.  ``simulate`` prints the rates it cannot
 estimate, those with no significant study, as JSON ``null``.
 """
 
-from __future__ import annotations
-
 import argparse
 import json
 import math
@@ -25,7 +23,7 @@ import sys
 from pathlib import Path
 
 from . import rates
-from .errors import ModelError
+from .errors import DomainError, ModelError
 
 EXIT_OK = 0
 EXIT_REPRODUCE_FAIL = 1
@@ -120,13 +118,7 @@ def cmd_rates(args) -> int:
     rr = rates.rr_regime(design, regime.h, psi)
     table = rates.table_regime(design, regime.h, psi)
     _emit({
-        "inputs": {
-            "alpha": design.alpha,
-            "beta": design.beta,
-            "phi": design.phi,
-            "h": regime.h,
-            "baseline_alpha": regime.baseline_alpha,
-        },
+        "inputs": {**design._asdict(), "h": regime.h, "baseline_alpha": regime.baseline_alpha},
         "resolved_psi": psi,
         "fpr": fpr,
         "rr": rr,
@@ -157,6 +149,15 @@ def _field(path: Path, record, where: str, key: str, kind):
     return value
 
 
+def _build(path: Path, where: str, record, *fields):
+    """``record(*fields)``, with a value it rejects reported against the
+    ``--data`` file and the place in it, as ``_field`` reports a key."""
+    try:
+        return record(*fields)
+    except DomainError as exc:
+        raise DomainError(f"{path}: {where}: {exc}") from None
+
+
 def _read_replication(path: Path):
     from .estimator import ReplicationData, ReplicationStratum
 
@@ -173,8 +174,8 @@ def _read_replication(path: Path):
             where = f"strata[{i}]"
             bounds = [_field(path, s, where, key, (int, float)) for key in ("p_low", "p_high")]
             counts = [_field(path, s, where, key, int) for key in ("total", "replicated")]
-            strata.append(ReplicationStratum(*bounds, *counts))
-    return ReplicationData(total, replicated, tuple(strata))
+            strata.append(_build(path, where, ReplicationStratum, *bounds, *counts))
+    return _build(path, "top level", ReplicationData, total, replicated, tuple(strata))
 
 
 def cmd_fit(args) -> int:
@@ -186,19 +187,10 @@ def cmd_fit(args) -> int:
     model = args.model or "per_stratum_rate"
     data = _load_replication(args)
     design = _design_from(args)
-    record = {
-        "design": {"alpha": design.alpha, "beta": design.beta, "phi": design.phi},
-        "observed_rate": data.rate,
-    }
+    record = {"design": design._asdict(), "observed_rate": data.rate}
     if args.stratified:
         est = estimator.fit_h_stratified(data, design, model=model)
-        record.update({
-            "point": est.point,
-            "range_low": est.range_low,
-            "range_high": est.range_high,
-            "residuals": list(est.residuals),
-            "model": model,
-        })
+        record.update(est._asdict(), model=model)
     else:
         record["point"] = estimator.fit_h(data, design)
     _emit(record)

@@ -5,8 +5,6 @@ The psychology replication counts (36/97 overall; 24/47 for original
 P < 0.005 and 12/50 for 0.005 < P < 0.05) ship as ``PSYCH_REP``.
 """
 
-from __future__ import annotations
-
 from collections import namedtuple
 
 from .errors import DomainError, NoRootError

@@ -20,13 +20,11 @@ fixed order, so a given (seed, n_tests, parameters) always produces
 identical counts.  The generator name is recorded in the outcome.
 """
 
-from __future__ import annotations
-
 import math
 import random
 from collections import namedtuple
 
-from .errors import DegenerateConfigError
+from .errors import DomainError
 from .rates import CELLS, HackingRegime, TestDesign, fpr_regime, resolve_psi, rr_regime
 
 GENERATOR_NAME = "python-MT19937-binomial"
@@ -48,11 +46,11 @@ class SimConfig(namedtuple("SimConfig", "n_tests seed design hacking cutoff")):
     def __new__(cls, n_tests: int, seed: int, design: TestDesign, hacking: HackingRegime,
                 cutoff: float):
         if not 1 <= n_tests <= MAX_TESTS:
-            raise DegenerateConfigError(f"n_tests={n_tests} must lie in [1, 2**53]")
+            raise DomainError(f"n_tests={n_tests} must lie in [1, 2**53]")
         if seed < 0:
-            raise DegenerateConfigError(f"seed={seed} must be >= 0")
+            raise DomainError(f"seed={seed} must be >= 0")
         if not (0.0 < cutoff <= hacking.baseline_alpha):
-            raise DegenerateConfigError(
+            raise DomainError(
                 f"cutoff={cutoff} must lie in (0, baseline_alpha={hacking.baseline_alpha}]"
             )
         return tuple.__new__(cls, (n_tests, seed, design, hacking, cutoff))

@@ -13,12 +13,10 @@ Conventions used throughout:
   significant after the cutoff is lowered.
 """
 
-from __future__ import annotations
-
 import math
 from collections import namedtuple
 
-from .errors import CutoffAboveBaselineError, DegenerateDesignError, DomainError
+from .errors import DomainError
 
 #: Absolute tolerance for internal identity checks (complementarity,
 #: table cell sums).  Paper-value regressions use a looser 5e-3 because
@@ -106,12 +104,12 @@ def resolve_psi(regime: HackingRegime, new_alpha: float) -> float:
     """Persistence of hacked P-values at ``new_alpha``.
 
     At the baseline cutoff the answer is exactly 1, below it ``regime.psi``.
-    Raises CutoffAboveBaselineError for new_alpha > baseline_alpha: the
-    monotonicity assumption only covers lowering the cutoff.
+    Raises DomainError for new_alpha > baseline_alpha: the monotonicity
+    assumption only covers lowering the cutoff.
     """
     _check_prob("new_alpha", new_alpha, open_lo=True, open_hi=True)
     if new_alpha > regime.baseline_alpha:
-        raise CutoffAboveBaselineError(
+        raise DomainError(
             f"new_alpha={new_alpha} > baseline_alpha={regime.baseline_alpha}"
         )
     if new_alpha == regime.baseline_alpha:
@@ -160,7 +158,7 @@ class OutcomeTable(namedtuple("OutcomeTable", (
         """FPR/RR computed directly from the reject-row cells."""
         total = self.reject_total
         if total == 0.0:
-            raise DegenerateDesignError("no rejections: rates undefined")
+            raise DomainError("no rejections: rates undefined")
         fpr = (self.sound_true_reject + self.unsound_reject) / total
         return Rates(fpr=fpr, rr=self.sound_false_reject / total)
 
@@ -193,7 +191,8 @@ def masses(design: TestDesign, h: float = 0.0, psi: float = 1.0) -> tuple[float,
     fp = design.alpha * design.phi * sound + h * psi
     tp = (1.0 - design.beta) * (1.0 - design.phi) * sound
     if fp + tp == 0.0:
-        raise DegenerateDesignError("no rejections occur (zero denominator)")
+        raise DomainError(f"alpha={design.alpha!r}, beta={design.beta!r}, phi={design.phi!r}, "
+                          f"h={h!r}, psi={psi!r}: no rejections occur (zero denominator)")
     return fp, tp
 
 

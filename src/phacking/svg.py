@@ -1,8 +1,6 @@
 """Minimal deterministic SVG helpers: line charts and cell-grid
 heatmaps, no external assets."""
 
-from __future__ import annotations
-
 from collections.abc import Sequence
 
 WIDTH = 720

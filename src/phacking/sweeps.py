@@ -6,13 +6,11 @@ All sweep cells are computed by calling the closed-form functions in
 canonical artifact; SVG is a derived view.
 """
 
-from __future__ import annotations
-
 import itertools
 from collections import namedtuple
 
 from . import svg
-from .errors import DomainError, UnsupportedShapeError
+from .errors import DomainError
 from .rates import DEFAULT_PHI, TestDesign, fpr_bound, fpr_hacked, fpr_sound, rr_ratio, rr_sound
 
 DEFAULT_BETA = 0.20
@@ -155,7 +153,7 @@ def render_svg(result: SweepResult) -> str:
     values = dict(result.rows)
     if result.kind == "line":
         if not 1 <= len(axes) <= 3:
-            raise UnsupportedShapeError(f"line chart needs 1-3 axes, got {len(axes)}")
+            raise DomainError(f"line chart needs 1-3 axes, got {len(axes)}")
         *lead_axes, (x_name, xs) = axes
         series = []
         for lead in itertools.product(*(vals for _, vals in lead_axes)):
@@ -164,9 +162,9 @@ def render_svg(result: SweepResult) -> str:
                 series.append((" ".join([*prefix, column]), xs, [values[(*lead, x)][i] for x in xs]))
         return svg.line_chart(result.figure_id, x_name, series, result.references)
     if result.kind != "heatmap":
-        raise UnsupportedShapeError(f"unknown sweep kind {result.kind!r}")
+        raise DomainError(f"unknown sweep kind {result.kind!r}")
     if len(axes) != 2:
-        raise UnsupportedShapeError(f"heatmap needs exactly 2 axes, got {len(axes)}")
+        raise DomainError(f"heatmap needs exactly 2 axes, got {len(axes)}")
     (y_name, ys), (x_name, xs) = axes
     cells = [[values[(y, x)] for x in xs] for y in ys]
     flags = [[bool(c[-1]) for c in row] for row in cells] if columns[-1] == "below_one" else None

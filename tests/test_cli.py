@@ -154,19 +154,31 @@ class TestFit:
         assert code == 3
         assert err.startswith("error:") and "Traceback" not in err
 
-    @pytest.mark.parametrize("content, named", [
-        (None, "data.json"),
-        ('{"total": 97, "replicated": 36', "data.json"),
-        ('{"total": 97}', "'replicated'"),
-        ('{"total": "97", "replicated": 36}', "'total'"),
-    ], ids=["missing-file", "invalid-json", "missing-key", "wrong-type"])
-    def test_bad_data_file_exit_3(self, capsys, tmp_path, content, named):
+    @pytest.mark.parametrize("content, detail", [
+        (None, "cannot read"),
+        ('{"total": 97, "replicated": 36', "is not valid JSON"),
+        ('{"total": 97}', "missing key 'replicated' in top level"),
+        ('{"total": "97", "replicated": 36}', "key 'total' in top level has type str"),
+        ('[97, 36]', "top level is not a JSON object"),
+        ('{"total": 97, "replicated": 1.5}', "key 'replicated' in top level has type float"),
+        ('{"total": 97, "replicated": 36, "strata": [{"p_low": 0, "p_high": 0.05, "total": true, '
+         '"replicated": 0}]}', "key 'total' in strata[0] has type bool"),
+        ('{"total": 97, "replicated": 36, "strata": [{"p_low": 0, "p_high": 0.05, "total": 0, '
+         '"replicated": 0}]}', ": strata[0]: bad counts 0/0"),
+        ('{"total": 97, "replicated": 36, "strata": [{"p_low": 0, "p_high": 0.05, "total": 1, '
+         '"replicated": 0}, {"p_low": 0.005, "p_high": 0.005, "total": 1, "replicated": 0}]}',
+         ": strata[1]: bad P-value range (0.005, 0.005)"),
+        ('{"total": 5, "replicated": 6}', ": top level: bad counts 6/5"),
+    ], ids=["missing-file", "invalid-json", "missing-key", "wrong-type", "not-an-object",
+            "float-count", "bool-count", "zero-total", "empty-p-range", "replicated-above-total"])
+    def test_bad_data_file_exit_3(self, capsys, tmp_path, content, detail):
         path = tmp_path / "data.json"
         if content is not None:
             path.write_text(content)
-        code, _, err = run(capsys, "fit", "--data", str(path))
-        assert code == 3
-        assert err.startswith("error:") and named in err
+        code, out, err = run(capsys, "fit", "--data", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ") and str(path) in err and detail in err
+        assert "Traceback" not in err
 
 
     @pytest.mark.parametrize("flag", [["--power", "1"], ["--beta", "0"]], ids=["power-1", "beta-0"])
@@ -393,6 +405,9 @@ FLAGS = {
 }
 #: Names a flag's value goes by in error messages, where they differ from the flag's own.
 FIELDS = {"--alpha": {"alpha", "new_alpha", "cutoff"}, "--prior-odds": {"phi"}, "--n": {"n_tests"}}
+#: The messages of ``NoRootError``: no hacking rate fits the data, which is
+#: a fact about all inputs together, so they name none.
+NO_ROOT = re.compile(r"contains no root|no stratum admitted a root|no h in \[0, 1\) fits")
 
 
 @st.composite
@@ -416,6 +431,7 @@ def _given(argv):
 @example(["rates", "--power=2"])
 @example(["sweep", "--figure=5", "--h=0.99999999"])
 @example(["simulate", "--phi=1e-320", "--n=1000", "--seed=1"])
+@example(["rates", "--phi=0", "--power=0"])
 def test_cli_contract(argv):
     given_flags = _given(argv)
     with tempfile.TemporaryDirectory() as out:
@@ -427,12 +443,17 @@ def test_cli_contract(argv):
         written = sorted(str(path) for path in Path(out).iterdir())
     assert code in (0, 2, 3), (argv, stderr.getvalue())
     if code == 3:
-        # A message that names inputs (name=value) names one that was given;
-        # one about a joint condition of the model (no rejections, no root)
-        # names none.
-        named = set(re.findall(r"\b(\w+)=", stderr.getvalue()))
+        # A message that names inputs with their values (name=value) names
+        # one that was given; any other names a given input at least by
+        # name, unless it says that no hacking rate fits.
+        message = stderr.getvalue()
+        named = set(re.findall(r"\b(\w+)=", message))
         fields = set().union(*(FIELDS.get(f, {f[2:].replace("-", "_")}) for f in given_flags))
-        assert not named or named & fields, (argv, stderr.getvalue())
+        if named:
+            assert named & fields, (argv, message)
+        else:
+            assert set(re.findall(r"\w+", message)) & fields or NO_ROOT.search(message), (
+                argv, message)
     elif code == 0 and argv[0] in ("rates", "fit", "simulate"):
         strict_json(stdout.getvalue())
     elif code == 0 and argv[0] == "sweep":

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from scipy.stats import binom, chi2, norm
 
 from phacking import (
-    DegenerateConfigError,
+    DomainError,
     HackingRegime,
     SimConfig,
     TestDesign,
@@ -123,15 +123,15 @@ class TestSimulate:
     def test_largest_n(self):
         out = simulate(config(n=MAX_TESTS, h=0.05))
         assert sum(out.cells().values()) == MAX_TESTS
-        with pytest.raises(DegenerateConfigError):
+        with pytest.raises(DomainError, match=rf"n_tests={MAX_TESTS + 1} must lie in \[1, 2\*\*53\]"):
             config(n=MAX_TESTS + 1)
 
     def test_config_validation(self):
-        with pytest.raises(DegenerateConfigError):
+        with pytest.raises(DomainError, match=r"n_tests=0 must lie in \[1, 2\*\*53\]"):
             config(n=0)
-        with pytest.raises(DegenerateConfigError):
+        with pytest.raises(DomainError, match=r"cutoff=0.06 must lie in \(0, baseline_alpha=0.05\]"):
             config(cutoff=0.06)
-        with pytest.raises(DegenerateConfigError):
+        with pytest.raises(DomainError, match="seed=-1 must be >= 0"):
             config(seed=-1)
 
 

@@ -8,7 +8,6 @@ import pickle
 import pytest
 
 from phacking import (
-    DegenerateConfigError,
     DomainError,
     HackingEstimate,
     HackingRegime,
@@ -124,10 +123,10 @@ def test_defaults():
     (lambda: ReplicationStratum(0.0, 0.005, total=10, replicated=11), DomainError),
     (lambda: ReplicationData(total=0, replicated=0), DomainError),
     (lambda: ReplicationData(total=5, replicated=6), DomainError),
-    (lambda: SimConfig(0, 1, DESIGN, REGIME, 0.05), DegenerateConfigError),
-    (lambda: SimConfig(10, -1, DESIGN, REGIME, 0.05), DegenerateConfigError),
+    (lambda: SimConfig(0, 1, DESIGN, REGIME, 0.05), DomainError),
+    (lambda: SimConfig(10, -1, DESIGN, REGIME, 0.05), DomainError),
     (lambda: SimConfig(n_tests=10, seed=1, design=DESIGN, hacking=REGIME, cutoff=0.06),
-     DegenerateConfigError),
+     DomainError),
 ])
 def test_checks_raise(make, error):
     with pytest.raises(error):

@@ -4,8 +4,8 @@ from pathlib import Path
 import pytest
 
 from phacking import (
+    DomainError,
     TestDesign,
-    UnsupportedShapeError,
     fpr_hacked,
     fpr_bound,
     fpr_sound,
@@ -163,7 +163,7 @@ class TestRenderErrors:
             columns=("v",),
             rows=(((0.0,), (0.0,)), ((1.0,), (1.0,))),
         )
-        with pytest.raises(UnsupportedShapeError):
+        with pytest.raises(DomainError, match="heatmap needs exactly 2 axes, got 1"):
             render_svg(bad)
 
     def test_unknown_kind(self):
@@ -174,5 +174,5 @@ class TestRenderErrors:
             columns=("v",),
             rows=(((0.0,), (0.0,)),),
         )
-        with pytest.raises(UnsupportedShapeError):
+        with pytest.raises(DomainError, match="unknown sweep kind 'scatter'"):
             render_svg(bad)
