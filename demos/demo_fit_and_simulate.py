@@ -13,7 +13,7 @@ from phacking import (
     crosscheck,
     fit_h,
     fit_h_stratified,
-    rr_hacked,
+    rr_regime,
     solve_psi_for_rr_ratio,
 )
 
@@ -23,7 +23,7 @@ new = TestDesign(0.005, 0.20, phi)
 
 print(f"Observed replication rate: {PSYCH_REP.replicated}/{PSYCH_REP.total} "
       f"= {PSYCH_REP.rate:.4f}")
-print(f"Predicted with no hacking: {rr_hacked(old, 0.0):.4f}")
+print(f"Predicted with no hacking: {rr_regime(old):.4f}")
 
 h = fit_h(PSYCH_REP, old)
 print(f"\nHacking rate explaining the gap: h = {h:.4f}")

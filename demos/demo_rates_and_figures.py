@@ -10,11 +10,10 @@ from pathlib import Path
 from phacking import (
     TestDesign,
     fpr_bound,
-    fpr_hacked,
-    fpr_sound,
+    fpr_regime,
     render_csv,
     render_svg,
-    rr_sound,
+    rr_regime,
     sweep_figure1,
     sweep_figure3,
     sweep_figure5,
@@ -26,13 +25,13 @@ old = TestDesign(alpha=0.05, beta=0.20, phi=phi)
 new = TestDesign(alpha=0.005, beta=0.20, phi=phi)
 
 print("Without P-hacking, lowering the cutoff looks great:")
-print(f"  FPR at 0.05:  {fpr_sound(old):.4f}   (RR {rr_sound(old):.4f})")
-print(f"  FPR at 0.005: {fpr_sound(new):.4f}   (RR {rr_sound(new):.4f})")
+print(f"  FPR at 0.05:  {fpr_regime(old):.4f}   (RR {rr_regime(old):.4f})")
+print(f"  FPR at 0.005: {fpr_regime(new):.4f}   (RR {rr_regime(new):.4f})")
 
 print("\nWith hacking (all hacked P-values significant at the cutoff):")
 for h in (0.05, 0.15):
-    print(f"  h={h}: FPR {fpr_hacked(old, h):.4f} at 0.05  ->  "
-          f"{fpr_hacked(new, h):.4f} at 0.005 (full persistence)")
+    print(f"  h={h}: FPR {fpr_regime(old, h):.4f} at 0.05  ->  "
+          f"{fpr_regime(new, h):.4f} at 0.005 (full persistence)")
 
 print("\nEven at modest persistence the improvement fades (h=0.15):")
 for pi in (0.1, 0.25, 0.5, 1.0):

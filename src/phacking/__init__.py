@@ -17,9 +17,8 @@ _EXPORTS = {
     "errors": ("DomainError", "ModelError", "NoRootError"),
     "rates": (
         "DirectPsi", "HackingRegime", "InterpolatedPsi", "OutcomeTable", "Rates", "TestDesign",
-        "fpr_bound", "fpr_hacked", "fpr_regime", "fpr_sound", "interpolated_psi", "masses",
-        "power_at_new_cutoff", "resolve_psi", "rr_hacked", "rr_ratio", "rr_regime",
-        "rr_sound", "table_regime",
+        "fpr_bound", "fpr_regime", "interpolated_psi", "masses", "power_at_new_cutoff",
+        "resolve_psi", "rr_ratio", "rr_regime", "table_regime",
     ),
     "estimator": (
         "PSYCH_REP", "HackingEstimate", "PsiSolution", "ReplicationData", "ReplicationStratum",

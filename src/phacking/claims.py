@@ -23,7 +23,7 @@ _NEW_50 = rates.TestDesign(0.005, 0.50, rates.DEFAULT_PHI)
 def _fpr_claim(alpha: float, h: float, want: float) -> Claim:
     design = rates.TestDesign(alpha, 0.20, rates.DEFAULT_PHI)
     return Claim(f"fpr(alpha={alpha}, h={h}, power=0.80, psi=1)",
-                 lambda: rates.fpr_hacked(design, h), want, 0.005)
+                 lambda: rates.fpr_regime(design, h), want, 0.005)
 
 
 def _h_fit() -> float:
@@ -43,12 +43,12 @@ CLAIMS = (
     _fpr_claim(0.05, 0.15, 0.75),
     _fpr_claim(0.005, 0.15, 0.71),
     Claim("rr_sound(0.05, power=0.80, odds 1:10)",
-          lambda: rates.rr_sound(_OLD), 0.615, 0.005),
+          lambda: rates.rr_regime(_OLD), 0.615, 0.005),
     Claim("psych-rep observed rate 36/97",
           lambda: estimator.PSYCH_REP.rate, 36.0 / 97.0, 0.0),
     Claim("fit_h(36/97) within [0.070, 0.080]", _h_fit, 0.075, 0.005),
     Claim("fit_h self-consistency: rr_hacked(h_fit) - 36/97",
-          lambda: rates.rr_hacked(_OLD, _h_fit()) - 36.0 / 97.0, 0.0, 1e-9),
+          lambda: rates.rr_regime(_OLD, _h_fit()) - 36.0 / 97.0, 0.0, 1e-9),
     Claim("paper h point estimate 0.075 vs derived root (documented gap)",
           _h_fit, 0.075, 0.005, info=True),
     Claim("stratified range low vs 0.05",

@@ -9,10 +9,13 @@ directory for file-writing subcommands.
 
 ``--pi X`` is the persistence ``rates.interpolated_psi(X)``, the
 conservative bound psi = X, so it resolves as ``--psi X`` does.
-``sweep --h`` applies only to the figures that take a hacking rate in
-``sweeps.FIGURES``.  ``reproduce`` writes every figure and checks each
-entry of ``claims.CLAIMS``.  ``simulate`` prints the rates it cannot
-estimate, those with no significant study, as JSON ``null``.
+``fit`` takes exactly one of ``--builtin`` or ``--data`` (exit 2 for
+neither or both), and ``fit --data FILE --stratified`` needs a non-empty
+``strata`` list in FILE.  ``sweep --h`` applies only to the figures that
+take a hacking rate in ``sweeps.FIGURES``.  ``reproduce`` writes every
+figure and checks each entry of ``claims.CLAIMS``.  ``simulate`` prints
+the rates it cannot estimate, those with no significant study, as JSON
+``null``.
 """
 
 import argparse
@@ -132,9 +135,7 @@ def _load_replication(args):
         from .estimator import PSYCH_REP
 
         return PSYCH_REP
-    if not args.data:
-        raise ModelError("supply --builtin psych-rep or --data FILE")
-    return _read_replication(Path(args.data))
+    return _read_replication(Path(args.data), args.stratified)
 
 
 def _field(path: Path, record, where: str, key: str, kind):
@@ -158,7 +159,8 @@ def _build(path: Path, where: str, record, *fields):
         raise DomainError(f"{path}: {where}: {exc}") from None
 
 
-def _read_replication(path: Path):
+def _read_replication(path: Path, stratified: bool):
+    """The ``--data`` file's counts; a stratified fit needs its strata."""
     from .estimator import ReplicationData, ReplicationStratum
 
     try:
@@ -169,13 +171,16 @@ def _read_replication(path: Path):
         raise ModelError(f"{path} is not valid JSON: {exc}")
     total, replicated = (_field(path, doc, "top level", key, int) for key in ("total", "replicated"))
     strata = []
-    if "strata" in doc:
+    if "strata" in doc or stratified:
         for i, s in enumerate(_field(path, doc, "top level", "strata", list)):
             where = f"strata[{i}]"
             bounds = [_field(path, s, where, key, (int, float)) for key in ("p_low", "p_high")]
             counts = [_field(path, s, where, key, int) for key in ("total", "replicated")]
             strata.append(_build(path, where, ReplicationStratum, *bounds, *counts))
-    return _build(path, "top level", ReplicationData, total, replicated, tuple(strata))
+    data = _build(path, "top level", ReplicationData, total, replicated, tuple(strata))
+    if stratified and not data.strata:
+        raise ModelError(f"{path}: key 'strata' in top level is empty")
+    return data
 
 
 def cmd_fit(args) -> int:
@@ -279,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit the hacking rate to replication counts")
     _add_design_flags(p)
-    g = p.add_mutually_exclusive_group()
+    g = p.add_mutually_exclusive_group(required=True)
     g.add_argument("--builtin", choices=["psych-rep"], help="use a built-in dataset")
     g.add_argument("--data", help="JSON file with total, replicated, strata[]")
     p.add_argument("--stratified", action="store_true", help="also fit per-stratum range")

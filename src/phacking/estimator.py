@@ -8,7 +8,7 @@ P < 0.005 and 12/50 for 0.005 < P < 0.05) ship as ``PSYCH_REP``.
 from collections import namedtuple
 
 from .errors import DomainError, NoRootError
-from .rates import TestDesign, masses, power_at_new_cutoff, rr_hacked, rr_ratio
+from .rates import TestDesign, masses, power_at_new_cutoff, rr_ratio, rr_regime
 
 class ReplicationStratum(namedtuple("ReplicationStratum", "p_low p_high total replicated")):
     __slots__ = ()
@@ -70,9 +70,9 @@ class HackingEstimate(namedtuple("HackingEstimate", "point range_low range_high 
 
 def fit_h(data: ReplicationData, design: TestDesign) -> float:
     """Hacking rate whose predicted replication rate matches the pooled
-    observed rate, as the exact root of rr_hacked(design, h) = rate.
+    observed rate, as the exact root of rr_regime(design, h) = rate.
 
-    rr_hacked is linear-fractional and strictly decreasing in h (when the
+    rr_regime is linear-fractional and strictly decreasing in h (when the
     design has positive true-positive mass), so the root is unique and
     closed-form.  Raises NoRootError when the observed rate is 0 or at
     least the no-hacking prediction.
@@ -184,7 +184,7 @@ def fit_h_stratified(
             "p_range": (stratum.p_low, stratum.p_high),
             "observed": stratum.rate,
             "root": root,
-            "fitted": _clustered_stratum_rate(design, stratum, h) if clustered else rr_hacked(design, h),
+            "fitted": _clustered_stratum_rate(design, stratum, h) if clustered else rr_regime(design, h),
             "no_root": root is None,
         })
     if not roots:
@@ -226,5 +226,5 @@ def solve_psi_for_rr_ratio(
         return PsiSolution(0.0 if at0 < 0.0 else 1.0, False)
     # rr_regime = tp / (c + h*psi + tp) = target * rr_old, solved for psi
     c, tp = masses(design_new, h, 0.0)
-    psi = (tp / (target_ratio * rr_hacked(design_old, h)) - (c + tp)) / h
+    psi = (tp / (target_ratio * rr_regime(design_old, h)) - (c + tp)) / h
     return PsiSolution(min(max(psi, 0.0), 1.0), True)

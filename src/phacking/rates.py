@@ -54,13 +54,6 @@ class TestDesign(namedtuple("TestDesign", "alpha beta phi")):
     def power(self) -> float:
         return 1.0 - self.beta
 
-    @property
-    def prior_odds(self) -> float:
-        """Odds (1 - phi) / phi in favor of H1; requires phi > 0."""
-        if self.phi == 0.0:
-            raise DomainError("prior_odds undefined for phi = 0")
-        return (1.0 - self.phi) / self.phi
-
     def with_alpha(self, alpha: float) -> "TestDesign":
         return TestDesign(alpha, self.beta, self.phi)
 
@@ -196,56 +189,33 @@ def masses(design: TestDesign, h: float = 0.0, psi: float = 1.0) -> tuple[float,
     return fp, tp
 
 
-def fpr_sound(design: TestDesign) -> float:
-    """False positive rate with no P-hacking:
-    alpha*phi / (alpha*phi + (1-beta)*(1-phi))."""
-    fp, tp = masses(design)
-    return fp / (fp + tp)
+def fpr_regime(design: TestDesign, h: float = 0.0, psi: float = 1.0) -> float:
+    """False positive rate fp / (fp + tp) of ``masses(design, h, psi)``.
 
+    h = 0 gives the rate with no P-hacking,
 
-def rr_sound(design: TestDesign) -> float:
-    """Replication rate with no P-hacking; complementary to fpr_sound
-    under perfect reproducibility."""
-    fp, tp = masses(design)
-    return tp / (fp + tp)
+        alpha*phi / (alpha*phi + (1-beta)*(1-phi)),
 
+    and psi = 1 the rate when every hacked P-value is significant, as at
+    the baseline cutoff,
 
-def fpr_hacked(design: TestDesign, h: float) -> float:
-    """False positive rate when a proportion h of all P-values is hacked
-    and every hacked P-value is significant at ``design.alpha``."""
-    fp, tp = masses(design, h)
-    return fp / (fp + tp)
-
-
-def rr_hacked(design: TestDesign, h: float) -> float:
-    """Replication rate under hacking (true-positive mass over total
-    significant mass); equals rr_regime(design, h, 1.0) exactly."""
-    fp, tp = masses(design, h)
-    return tp / (fp + tp)
-
-
-def fpr_regime(design_new: TestDesign, h: float, psi: float) -> float:
-    """False positive rate at a lowered cutoff.
-
-    ``design_new.alpha`` is the new cutoff and ``design_new.beta`` the
-    Type-II rate achieved at it; ``psi`` is the persistence of hacked
-    P-values at the new cutoff.  With psi = 1 this equals fpr_hacked
-    evaluated at the new cutoff.
+        (alpha*phi*(1-h) + h) / (alpha*phi*(1-h) + h + (1-beta)*(1-phi)*(1-h)).
     """
-    fp, tp = masses(design_new, h, psi)
+    fp, tp = masses(design, h, psi)
     return fp / (fp + tp)
 
 
-def rr_regime(design_new: TestDesign, h: float, psi: float) -> float:
-    """Replication rate at a lowered cutoff; complementary to fpr_regime."""
-    fp, tp = masses(design_new, h, psi)
+def rr_regime(design: TestDesign, h: float = 0.0, psi: float = 1.0) -> float:
+    """Replication rate tp / (fp + tp) of ``masses(design, h, psi)``;
+    complementary to fpr_regime under perfect reproducibility."""
+    fp, tp = masses(design, h, psi)
     return tp / (fp + tp)
 
 
 def rr_ratio(design_new: TestDesign, design_old: TestDesign, h: float, psi: float) -> float:
     """Replication rate under the new cutoff relative to the hacked
     replication rate under the old cutoff."""
-    old = rr_hacked(design_old, h)
+    old = rr_regime(design_old, h)
     if old == 0.0:
         raise DomainError("old replication rate is 0: ratio undefined")
     return rr_regime(design_new, h, psi) / old
@@ -258,16 +228,16 @@ def fpr_bound(design_new: TestDesign, h: float, pi: float) -> float:
     return fpr_regime(design_new, h, pi)
 
 
-def table_regime(design_new: TestDesign, h: float, psi: float) -> OutcomeTable:
+def table_regime(design: TestDesign, h: float = 0.0, psi: float = 1.0) -> OutcomeTable:
     """Proportion table under hacking with persistence ``psi`` at the
-    operative cutoff ``design_new.alpha``.
+    operative cutoff ``design.alpha``.
 
     psi = 1 gives the baseline-cutoff hacking table; h = 0 gives the
     classical table.
     """
     _check_prob("h", h, open_hi=True)
     _check_prob("psi", psi)
-    a, b, p = design_new.alpha, design_new.beta, design_new.phi
+    a, b, p = design.alpha, design.beta, design.phi
     sound = 1.0 - h
     return OutcomeTable(
         sound_true_reject=a * p * sound,

@@ -11,7 +11,7 @@ from collections import namedtuple
 
 from . import svg
 from .errors import DomainError
-from .rates import DEFAULT_PHI, TestDesign, fpr_bound, fpr_hacked, fpr_sound, rr_ratio, rr_sound
+from .rates import DEFAULT_PHI, TestDesign, fpr_bound, fpr_regime, rr_ratio, rr_regime
 
 DEFAULT_BETA = 0.20
 
@@ -54,7 +54,7 @@ def sweep_figure1() -> SweepResult:
     prior odds 1:10, full persistence at each operative cutoff."""
     axes = (("alpha", (0.05, 0.005)), ("h", (0.0, 0.05, 0.15)), ("power", _POWER_FINE))
     return _sweep("figure1", "line", axes, ("fpr",),
-                  lambda alpha, h, power: (fpr_hacked(_design(alpha, power), h),))
+                  lambda alpha, h, power: (fpr_regime(_design(alpha, power), h),))
 
 
 def sweep_figure2() -> SweepResult:
@@ -63,7 +63,7 @@ def sweep_figure2() -> SweepResult:
 
     def cell(alpha, power):
         design = _design(alpha, power)
-        return fpr_sound(design), rr_sound(design)
+        return fpr_regime(design), rr_regime(design)
 
     axes = (("alpha", (0.05, 0.005)), ("power", _POWER_FINE))
     return _sweep("figure2", "line", axes, ("fpr", "rr"), cell)
@@ -74,9 +74,9 @@ def sweep_figure3(h: float) -> SweepResult:
     persistence parameter at the 0.005 cutoff, with three references:
     FPR with hacking at 0.05, sound FPR at 0.005 and sound FPR at 0.05."""
     new = TestDesign(0.005, DEFAULT_BETA, DEFAULT_PHI)
-    references = (("fpr_hacked_0.05", fpr_hacked(_OLD, h)),
-                  ("fpr_sound_0.005", fpr_sound(new)),
-                  ("fpr_sound_0.05", fpr_sound(_OLD)))
+    references = (("fpr_hacked_0.05", fpr_regime(_OLD, h)),
+                  ("fpr_sound_0.005", fpr_regime(new)),
+                  ("fpr_sound_0.05", fpr_regime(_OLD)))
     return _sweep(f"figure3_h{h!r}", "line", (("pi", _PI_GRID),), ("fpr_bound",),
                   lambda pi: (fpr_bound(new, h, pi),), references)
 
@@ -86,7 +86,7 @@ def sweep_figure4() -> SweepResult:
     one value column per cutoff."""
     axes = (("power", _POWER_COARSE), ("h", _H_COARSE))
     return _sweep("figure4", "heatmap", axes, ("fpr_alpha_0.05", "fpr_alpha_0.005"),
-                  lambda power, h: tuple(fpr_hacked(_design(a, power), h) for a in (0.05, 0.005)))
+                  lambda power, h: tuple(fpr_regime(_design(a, power), h) for a in (0.05, 0.005)))
 
 
 def sweep_figure5(h: float) -> SweepResult:

@@ -14,10 +14,7 @@ from phacking import (
     TestDesign,
     crosscheck,
     fpr_bound,
-    fpr_hacked,
     fpr_regime,
-    fpr_sound,
-    rr_hacked,
     rr_regime,
     simulate,
     solve_psi_for_rr_ratio,
@@ -63,17 +60,17 @@ def test_criterion_8_property_suite():
         psi = rng.uniform(0, 1)
         assert fpr_regime(design, h, psi) + rr_regime(design, h, psi) <= 1 + 1e-12
         assert abs(fpr_regime(design, h, psi) + rr_regime(design, h, psi) - 1) <= 1e-12
-        assert abs(fpr_hacked(design, h) + rr_hacked(design, h) - 1) <= 1e-12
+        assert abs(fpr_regime(design, h) + rr_regime(design, h) - 1) <= 1e-12
         complementarity_checked += 1
 
     for _ in range(500):
         design = TestDesign(rng.uniform(1e-4, 0.99), rng.uniform(0, 0.9), rng.uniform(0.05, 0.95))
-        assert fpr_hacked(design, 0.0) == fpr_sound(design)
-        assert fpr_regime(design, 0.0, rng.uniform(0, 1)) == fpr_sound(design)
+        assert fpr_regime(design, 0.0) == fpr_regime(design)
+        assert fpr_regime(design, 0.0, rng.uniform(0, 1)) == fpr_regime(design)
         # monotonicity in h and psi
         h1, h2 = sorted(rng.uniform(0, 0.99, size=2))
         if h1 < h2:
-            assert fpr_hacked(design, h1) < fpr_hacked(design, h2)
+            assert fpr_regime(design, h1) < fpr_regime(design, h2)
         p1, p2 = sorted(rng.uniform(0, 1, size=2))
         if p1 < p2:
             assert fpr_regime(design, 0.3, p1) < fpr_regime(design, 0.3, p2)

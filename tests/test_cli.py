@@ -16,6 +16,8 @@ from phacking.cli import main
 from phacking.mc import GENERATOR_NAME
 from phacking.sweeps import FIGURES
 
+GOLDEN = Path(__file__).parent / "golden"
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -136,9 +138,23 @@ class TestFit:
         assert code == 0
         assert json.loads(out)["point"] == pytest.approx(0.0722, abs=5e-4)
 
-    def test_missing_input_exit_3(self, capsys):
-        code, _, _ = run(capsys, "fit")
-        assert code == 3
+    @pytest.mark.parametrize("source", [[], ["--builtin", "psych-rep", "--data", "x.json"]],
+                             ids=["neither", "both"])
+    def test_missing_input_exit_2(self, capsys, source):
+        code, out, err = run(capsys, "fit", *source)
+        assert (code, out) == (2, "")
+        assert "--builtin" in err and "--data" in err
+
+    @pytest.mark.parametrize("name, detail", [
+        ("replication_no_strata.json", "missing key 'strata' in top level"),
+        ("replication_empty_strata.json", "key 'strata' in top level is empty"),
+    ], ids=["no-strata", "empty-strata"])
+    def test_stratified_data_needs_strata(self, capsys, name, detail):
+        path = GOLDEN / name
+        code, out, err = run(capsys, "fit", "--data", str(path), "--stratified")
+        assert (code, out, err) == (3, "", f"error: {path}: {detail}\n")
+        # the pooled fit reads the same file
+        assert run(capsys, "fit", "--data", str(path))[0] == 0
 
     def test_zero_total_stratum_exit_3(self, capsys, tmp_path):
         doc = {
@@ -325,7 +341,7 @@ class TestReproduce:
         # from the claim table that produces them.
         code, out, _ = run(capsys, "reproduce", "--out", str(tmp_path))
         assert code == 0
-        golden = (Path(__file__).parent / "golden" / "reproduce.txt").read_text()
+        golden = (GOLDEN / "reproduce.txt").read_text()
         assert out.replace(str(tmp_path), "<out>") == golden
 
 
@@ -375,17 +391,16 @@ def test_replays_golden_calls(capsys):
     """Every call in tests/golden/cli.json prints the recorded stdout and
     stderr and exits with the recorded code; ``{golden}`` in an argv
     stands for tests/golden."""
-    golden = Path(__file__).parent / "golden"
-    calls = json.loads((golden / "cli.json").read_text())
+    calls = json.loads((GOLDEN / "cli.json").read_text())
     for name, call in calls.items():
-        code = main([arg.format(golden=golden) for arg in call["argv"]])
+        code = main([arg.format(golden=GOLDEN) for arg in call["argv"]])
         captured = capsys.readouterr()
         assert (code, captured.out, captured.err) == (call["code"], call["stdout"], call["stderr"]), name
 
 
 # CLI contract: every call exits 0, 2 or 3 without a traceback, prints strict
-# JSON on success, names an input it was given when it rejects one, and
-# `sweep` prints the paths it wrote.
+# JSON on success, names an input it was given when it rejects one (a `--data`
+# file by its path), and `sweep` prints the paths it wrote.
 NUMBERS = st.sampled_from(["nan", "inf", "-inf", "-0.0", "5e-324", "1e-320", "1e308", "0", "1",
                            "0.05", "0.5", "x", ""])
 ODDS = st.one_of(st.builds("{}:{}".format, NUMBERS, NUMBERS), st.sampled_from(["1", "1:2:3"]))
@@ -405,6 +420,13 @@ FLAGS = {
 }
 #: Names a flag's value goes by in error messages, where they differ from the flag's own.
 FIELDS = {"--alpha": {"alpha", "new_alpha", "cutoff"}, "--prior-odds": {"phi"}, "--n": {"n_tests"}}
+#: `fit --data` files: with strata, with none, with an empty list, and one
+#: that does not exist.
+DATA_FILES = ("replication_split.json", "replication_no_strata.json",
+              "replication_empty_strata.json", "missing.json")
+#: `fit`'s data source: the built-in counts or one of the files.
+FIT_SOURCES = st.sampled_from(["--builtin=psych-rep",
+                               *(f"--data={GOLDEN / name}" for name in DATA_FILES)])
 #: The messages of ``NoRootError``: no hacking rate fits the data, which is
 #: a fact about all inputs together, so they name none.
 NO_ROOT = re.compile(r"contains no root|no stratum admitted a root|no h in \[0, 1\) fits")
@@ -414,7 +436,7 @@ NO_ROOT = re.compile(r"contains no root|no stratum admitted a root|no h in \[0, 
 def cli_calls(draw):
     command = draw(st.sampled_from(sorted(FLAGS)))
     flags = draw(st.lists(st.sampled_from(sorted(FLAGS[command])), unique=True, max_size=4))
-    argv = [command, "--builtin=psych-rep"] if command == "fit" else [command]
+    argv = [command, draw(FIT_SOURCES)] if command == "fit" else [command]
     for flag in flags:
         value = FLAGS[command][flag]
         argv.append(flag if value is None else f"{flag}={draw(value)}")
@@ -432,7 +454,20 @@ def _given(argv):
 @example(["sweep", "--figure=5", "--h=0.99999999"])
 @example(["simulate", "--phi=1e-320", "--n=1000", "--seed=1"])
 @example(["rates", "--phi=0", "--power=0"])
+@example(["fit", f"--data={GOLDEN / 'replication_no_strata.json'}", "--stratified"])
 def test_cli_contract(argv):
+    check_contract(argv)
+
+
+@pytest.mark.parametrize("model", ["", "per_stratum_rate", "threshold_clustering"])
+@pytest.mark.parametrize("stratified", [False, True])
+@pytest.mark.parametrize("name", DATA_FILES)
+def test_fit_data_contract(name, stratified, model):
+    check_contract(["fit", f"--data={GOLDEN / name}", *["--stratified"] * stratified,
+                    *[f"--model={model}"] * bool(model)])
+
+
+def check_contract(argv):
     given_flags = _given(argv)
     with tempfile.TemporaryDirectory() as out:
         if argv[0] == "sweep":
@@ -445,12 +480,15 @@ def test_cli_contract(argv):
     if code == 3:
         # A message that names inputs with their values (name=value) names
         # one that was given; any other names a given input at least by
-        # name, unless it says that no hacking rate fits.
+        # name, and a --data file by its path, unless it says that no
+        # hacking rate fits.
         message = stderr.getvalue()
         named = set(re.findall(r"\b(\w+)=", message))
         fields = set().union(*(FIELDS.get(f, {f[2:].replace("-", "_")}) for f in given_flags))
         if named:
             assert named & fields, (argv, message)
+        elif "--data" in given_flags:
+            assert given_flags["--data"] in message or NO_ROOT.search(message), (argv, message)
         else:
             assert set(re.findall(r"\w+", message)) & fields or NO_ROOT.search(message), (
                 argv, message)

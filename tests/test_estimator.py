@@ -13,7 +13,6 @@ from phacking import (
     fit_h,
     fit_h_stratified,
     masses,
-    rr_hacked,
     rr_ratio,
     rr_regime,
     solve_psi_for_rr_ratio,
@@ -44,15 +43,15 @@ class TestFitH:
         assert h == pytest.approx(0.0722, abs=5e-4)
         # published point estimate 0.075, within the documented +-0.005
         assert abs(h - 0.075) <= 0.005
-        assert rr_hacked(OLD, h) == pytest.approx(36 / 97, abs=1e-9)
+        assert rr_regime(OLD, h) == pytest.approx(36 / 97, abs=1e-9)
 
     def test_near_ideal_replication_gives_tiny_h(self):
-        rate = rr_hacked(OLD, 0.0) - 1e-6
+        rate = rr_regime(OLD) - 1e-6
         data = ReplicationData(total=10**9, replicated=round(rate * 10**9))
         assert fit_h(data, OLD) < 1e-4
 
     def test_inverse_of_rr_hacked_example(self):
-        assert _h_root(rr_hacked(OLD, 0.15), *masses(OLD)) == pytest.approx(0.15, abs=1e-9)
+        assert _h_root(rr_regime(OLD, 0.15), *masses(OLD)) == pytest.approx(0.15, abs=1e-9)
 
     def test_no_root_conditions(self):
         with pytest.raises(NoRootError):
@@ -63,10 +62,10 @@ class TestFitH:
     @settings(max_examples=500, deadline=None)
     @given(design=DESIGNS, h0=st.floats(0.0, 1.0, exclude_max=True))
     def test_round_trip_property(self, design, h0):
-        # the h root shared by every fit inverts rr_hacked wherever it moves with h
+        # the h root shared by every fit inverts rr_regime wherever it moves with h
         assume(live_masses(design) is not None)
         fp, tp = masses(design)
-        rate = rr_hacked(design, h0)
+        rate = rr_regime(design, h0)
         root = _h_root(rate, fp, tp)
         if tp == 0.0:
             assert root is None  # rate 0: no h fits
@@ -75,7 +74,7 @@ class TestFitH:
             assert h0 <= 1e-8  # rate within rounding of its h = 0 value
             return
         assert root == pytest.approx(h0, abs=1e-8)
-        assert abs(rr_hacked(design, root) - rate) <= 1e-9
+        assert abs(rr_regime(design, root) - rate) <= 1e-9
 
     @settings(max_examples=500, deadline=None)
     @given(design=DESIGNS, counts=st.integers(1, 10**6).flatmap(
@@ -97,7 +96,7 @@ class TestFitH:
             assert data.rate == pytest.approx(tp / (fp + tp), rel=1e-12)
             return
         assert 0.0 < h < 1.0
-        assert abs(rr_hacked(design, h) - data.rate) <= 1e-9
+        assert abs(rr_regime(design, h) - data.rate) <= 1e-9
 
     def test_counts_validation(self):
         with pytest.raises(DomainError):
@@ -241,7 +240,7 @@ def test_identity_regime_over_random_designs():
     for _ in range(2000):
         design = TestDesign(rng.uniform(1e-3, 0.5), rng.uniform(0.0, 0.9), rng.uniform(0.05, 0.95))
         h = rng.uniform(1e-3, 0.9)
-        assert rr_regime(design, h, 1.0) == rr_hacked(design, h)
+        assert rr_regime(design, h, 1.0) == rr_regime(design, h)
         assert rr_ratio(design, design, h, 1.0) == 1.0
         assert solve_psi_for_rr_ratio(1.0, design, design, h) == (1.0, True)
 
@@ -287,7 +286,7 @@ class TestSolvePsi:
     def test_round_trip_with_rr_ratio(self, new, old, h, psi):
         # solve_psi_for_rr_ratio inverts rr_ratio wherever it calls the target achievable
         assume(live_masses(new, h, 0.0) is not None and live_masses(old, h) is not None)
-        assume(masses(new, h, 0.0)[1] > 0.0 and rr_hacked(old, h) > 0.0)
+        assume(masses(new, h, 0.0)[1] > 0.0 and rr_regime(old, h) > 0.0)
         target = rr_ratio(new, old, h, psi)
         sol = solve_psi_for_rr_ratio(target, new, old, h)
         if sol.achievable:

@@ -13,16 +13,12 @@ from phacking import (
     Rates,
     TestDesign,
     fpr_bound,
-    fpr_hacked,
     fpr_regime,
-    fpr_sound,
     interpolated_psi,
     masses,
     power_at_new_cutoff,
     resolve_psi,
-    rr_hacked,
     rr_regime,
-    rr_sound,
     table_regime,
 )
 from phacking.rates import normal_shift_delta
@@ -60,25 +56,25 @@ def rejects(design, h, psi):
 
 class TestSoundRates:
     def test_paper_values(self):
-        assert fpr_sound(OLD) == pytest.approx(0.3846, abs=5e-4)
-        assert fpr_sound(NEW) == pytest.approx(0.0588, abs=5e-4)
-        assert rr_sound(OLD) == pytest.approx(0.6154, abs=5e-4)
+        assert fpr_regime(OLD) == pytest.approx(0.3846, abs=5e-4)
+        assert fpr_regime(NEW) == pytest.approx(0.0588, abs=5e-4)
+        assert rr_regime(OLD) == pytest.approx(0.6154, abs=5e-4)
 
     def test_rr_at_new_cutoff_complementary(self):
-        # frozen from 1 - fpr_sound, cross-checked by the MC oracle
-        assert rr_sound(NEW) == pytest.approx(0.9411764705882353, abs=1e-12)
+        # frozen from 1 - fpr_regime(NEW), cross-checked by the MC oracle
+        assert rr_regime(NEW) == pytest.approx(0.9411764705882353, abs=1e-12)
 
     def test_no_true_nulls_gives_zero_fpr(self):
-        assert fpr_sound(TestDesign(0.05, 0.2, 0.0)) == 0.0
+        assert fpr_regime(TestDesign(0.05, 0.2, 0.0)) == 0.0
 
     def test_zero_power_gives_zero_rr(self):
-        assert rr_sound(TestDesign(0.05, 1.0, 0.5)) == 0.0
+        assert rr_regime(TestDesign(0.05, 1.0, 0.5)) == 0.0
 
     def test_degenerate_denominator(self):
         with pytest.raises(DomainError, match="no rejections occur"):
-            fpr_sound(TestDesign(0.05, 1.0, 0.0))
+            fpr_regime(TestDesign(0.05, 1.0, 0.0))
         with pytest.raises(DomainError, match="no rejections occur"):
-            rr_sound(TestDesign(0.05, 1.0, 0.0))
+            rr_regime(TestDesign(0.05, 1.0, 0.0))
 
     def test_design_validation(self):
         with pytest.raises(DomainError):
@@ -88,47 +84,44 @@ class TestSoundRates:
         with pytest.raises(DomainError):
             TestDesign(0.05, 0.2, -0.1)
 
-    def test_prior_odds(self):
-        assert OLD.prior_odds == pytest.approx(0.1)
-        with pytest.raises(DomainError):
-            TestDesign(0.05, 0.2, 0.0).prior_odds
-
 
 class TestHackedRates:
     def test_paper_values(self):
-        assert fpr_hacked(OLD, 0.05) == pytest.approx(0.5742, abs=5e-4)
-        assert fpr_hacked(OLD, 0.15) == pytest.approx(0.7532, abs=5e-4)
+        assert fpr_regime(OLD, 0.05) == pytest.approx(0.5742, abs=5e-4)
+        assert fpr_regime(OLD, 0.15) == pytest.approx(0.7532, abs=5e-4)
 
     def test_h_zero_reduces_exactly(self):
+        # h = 0 is the no-hacking rate alpha*phi / (alpha*phi + (1-beta)*(1-phi)), whatever psi
         for design in random_designs(1000, seed=1):
             try:
-                expected = fpr_sound(design)
+                expected = fpr_regime(design)
             except DomainError as exc:
                 assert "no rejections occur" in str(exc)
                 continue
-            assert fpr_hacked(design, 0.0) == expected
+            a, b, p = design
+            assert expected == a * p / (a * p + (1.0 - b) * (1.0 - p))
             assert fpr_regime(design, 0.0, 0.7) == expected
 
     def test_rr_hacked_values(self):
-        assert rr_hacked(OLD, 0.15) == pytest.approx(1.0 - 0.7532, abs=5e-4)
+        assert rr_regime(OLD, 0.15) == pytest.approx(1.0 - 0.7532, abs=5e-4)
         # h fitted to 36/97 reproduces the observed rate
-        assert rr_hacked(OLD, 0.07216494845390177) == pytest.approx(36 / 97, abs=1e-9)
+        assert rr_regime(OLD, 0.07216494845390177) == pytest.approx(36 / 97, abs=1e-9)
 
     def test_rr_vanishes_as_h_to_one(self):
-        assert rr_hacked(OLD, 1.0 - 1e-9) < 1e-8
+        assert rr_regime(OLD, 1.0 - 1e-9) < 1e-8
 
     def test_monotone_in_h(self):
         for design in random_designs(50, seed=2):
             if (1 - design.beta) * (1 - design.phi) == 0:
                 continue
             hs = np.linspace(0.0, 0.99, 25)
-            vals = [fpr_hacked(design, h) for h in hs]
+            vals = [fpr_regime(design, h) for h in hs]
             assert all(a < b for a, b in zip(vals, vals[1:]))
 
     def test_complementarity(self):
         for design in random_designs(200, seed=3):
             for h in (0.0, 0.05, 0.3, 0.9):
-                assert fpr_hacked(design, h) + rr_hacked(design, h) == pytest.approx(1.0, abs=1e-12)
+                assert fpr_regime(design, h) + rr_regime(design, h) == pytest.approx(1.0, abs=1e-12)
 
 
 class TestResolvePsi:
@@ -180,11 +173,13 @@ class TestRegimeRates:
         assert rr_regime(new_50, 0.15, 1.0) == pytest.approx(0.2007, abs=5e-4)
 
     def test_psi_one_equals_hacked_at_new_alpha(self):
+        # psi = 1 is the hacked rate, every hacked P-value significant
         for design in random_designs(100, seed=5):
+            a, b, p = design
             for h in (0.0, 0.1, 0.4):
-                assert fpr_regime(design, h, 1.0) == pytest.approx(
-                    fpr_hacked(design, h), abs=1e-15
-                )
+                fp = a * p * (1.0 - h) + h
+                hacked = fp / (fp + (1.0 - b) * (1.0 - p) * (1.0 - h))
+                assert fpr_regime(design, h, 1.0) == pytest.approx(hacked, abs=1e-15)
 
     def test_every_rate_is_a_view_of_the_masses(self):
         rng = np.random.default_rng(6)
@@ -193,13 +188,14 @@ class TestRegimeRates:
             fp, tp = masses(design, h, psi)
             assert fpr_regime(design, h, psi) == fp / (fp + tp)
             assert rr_regime(design, h, psi) == tp / (fp + tp)
-            assert rr_regime(design, h, 1.0) == rr_hacked(design, h)
-            assert fpr_regime(design, h, 1.0) == fpr_hacked(design, h)
-            assert rr_regime(design, 0.0, 1.0) == rr_sound(design)
-            assert fpr_regime(design, 0.0, 1.0) == fpr_sound(design)
+            # the defaults h = 0 and psi = 1 are the kernel's
+            fp, tp = masses(design, h)
+            assert (fpr_regime(design, h), rr_regime(design, h)) == (fp / (fp + tp), tp / (fp + tp))
+            fp, tp = masses(design)
+            assert (fpr_regime(design), rr_regime(design)) == (fp / (fp + tp), tp / (fp + tp))
 
     def test_h_zero_ignores_psi(self):
-        assert rr_regime(NEW, 0.0, 0.123) == pytest.approx(rr_sound(NEW), abs=1e-15)
+        assert rr_regime(NEW, 0.0, 0.123) == pytest.approx(rr_regime(NEW), abs=1e-15)
         assert rr_regime(NEW, 0.0, 0.123) == pytest.approx(0.9412, abs=5e-4)
 
     def test_monotone_in_psi(self):
@@ -217,7 +213,7 @@ class TestRegimeRates:
     def test_bound_examples(self):
         assert fpr_bound(NEW, 0.15, 1.0) == pytest.approx(fpr_regime(NEW, 0.15, 1.0), abs=1e-15)
         assert fpr_bound(NEW, 0.05, 0.0) == pytest.approx(0.0588, abs=5e-4)
-        assert fpr_bound(NEW, 0.0, 0.7) == pytest.approx(fpr_sound(NEW), abs=1e-15)
+        assert fpr_bound(NEW, 0.0, 0.7) == pytest.approx(fpr_regime(NEW), abs=1e-15)
 
 
 class TestOutcomeTable:

@@ -6,9 +6,8 @@ import pytest
 from phacking import (
     DomainError,
     TestDesign,
-    fpr_hacked,
     fpr_bound,
-    fpr_sound,
+    fpr_regime,
     render_csv,
     render_svg,
     rr_ratio,
@@ -66,7 +65,7 @@ class TestFigure1:
 
     def test_grid_edge_limit_with_phi_override(self):
         # at the grid edge power -> 1 the sound FPR vanishes as phi -> 0
-        assert fpr_hacked(TestDesign(0.05, 1 - 0.99, 1e-9), 0.0) < 1e-7
+        assert fpr_regime(TestDesign(0.05, 1 - 0.99, 1e-9)) < 1e-7
 
 
 class TestFigure2:
@@ -137,7 +136,7 @@ class TestCrossModuleConsistency:
         old = TestDesign(0.05, 0.20, DEFAULT_PHI)
         for point, (value,) in rng.sample(list(sweep_figure1().rows), 30):
             alpha, h, power = point
-            assert value == fpr_hacked(TestDesign(alpha, 1 - power, DEFAULT_PHI), h)
+            assert value == fpr_regime(TestDesign(alpha, 1 - power, DEFAULT_PHI), h)
         for point, (value, _) in rng.sample(list(sweep_figure5(0.15).rows), 30):
             power, psi = point
             assert value == rr_ratio(TestDesign(0.005, 1 - power, DEFAULT_PHI), old, 0.15, psi)
@@ -146,7 +145,7 @@ class TestCrossModuleConsistency:
         for point, (fpr, rr) in rng.sample(list(sweep_figure2().rows), 30):
             alpha, power = point
             design = TestDesign(alpha, 1 - power, DEFAULT_PHI)
-            assert fpr == fpr_sound(design)
+            assert fpr == fpr_regime(design)
 
     def test_no_duplicate_points(self):
         for result in all_results():
