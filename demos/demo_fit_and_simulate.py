@@ -6,10 +6,10 @@ Run: python3 demos/demo_fit_and_simulate.py
 """
 
 from phacking import (
+    PAPER_DESIGN,
     PSYCH_REP,
     HackingRegime,
     SimConfig,
-    TestDesign,
     crosscheck,
     fit_h,
     fit_h_stratified,
@@ -17,9 +17,8 @@ from phacking import (
     solve_psi_for_rr_ratio,
 )
 
-phi = 10 / 11
-old = TestDesign(0.05, 0.20, phi)
-new = TestDesign(0.005, 0.20, phi)
+old = PAPER_DESIGN
+new = PAPER_DESIGN.with_alpha(0.005)
 
 print(f"Observed replication rate: {PSYCH_REP.replicated}/{PSYCH_REP.total} "
       f"= {PSYCH_REP.rate:.4f}")
@@ -43,7 +42,7 @@ for hh, cutoff in ((0.0, 0.05), (0.05, 0.05), (0.15, 0.005)):
     cfg = SimConfig(
         n_tests=10**6,
         seed=42,
-        design=TestDesign(cutoff, 0.20, phi),
+        design=PAPER_DESIGN.with_alpha(cutoff),
         hacking=HackingRegime(hh, 0.05, psi=1.0),
         cutoff=cutoff,
     )

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from phacking import (
-    TestDesign,
+    PAPER_DESIGN,
     fpr_bound,
     fpr_regime,
     render_csv,
@@ -20,9 +20,8 @@ from phacking import (
     table_regime,
 )
 
-phi = 10 / 11  # prior odds 1:10 in favor of H1
-old = TestDesign(alpha=0.05, beta=0.20, phi=phi)
-new = TestDesign(alpha=0.005, beta=0.20, phi=phi)
+old = PAPER_DESIGN  # cutoff 0.05, power 0.80, prior odds 1:10 in favor of H1
+new = PAPER_DESIGN.with_alpha(0.005)
 
 print("Without P-hacking, lowering the cutoff looks great:")
 print(f"  FPR at 0.05:  {fpr_regime(old):.4f}   (RR {rr_regime(old):.4f})")

@@ -16,9 +16,9 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "errors": ("DomainError", "ModelError", "NoRootError"),
     "rates": (
-        "DirectPsi", "HackingRegime", "InterpolatedPsi", "OutcomeTable", "Rates", "TestDesign",
-        "fpr_bound", "fpr_regime", "interpolated_psi", "masses", "power_at_new_cutoff",
-        "resolve_psi", "rr_ratio", "rr_regime", "table_regime",
+        "DirectPsi", "HackingRegime", "InterpolatedPsi", "OutcomeTable", "PAPER_DESIGN", "Rates",
+        "TestDesign", "fpr_bound", "fpr_regime", "interpolated_psi", "masses",
+        "power_at_new_cutoff", "resolve_psi", "rr_ratio", "rr_regime", "table_regime",
     ),
     "estimator": (
         "PSYCH_REP", "HackingEstimate", "PsiSolution", "ReplicationData", "ReplicationStratum",

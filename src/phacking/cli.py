@@ -130,14 +130,6 @@ def cmd_rates(args) -> int:
     return EXIT_OK
 
 
-def _load_replication(args):
-    if args.builtin:
-        from .estimator import PSYCH_REP
-
-        return PSYCH_REP
-    return _read_replication(Path(args.data), args.stratified)
-
-
 def _field(path: Path, record, where: str, key: str, kind):
     """``record[key]`` from a ``--data`` file, checked for presence and type."""
     if not isinstance(record, dict):
@@ -190,7 +182,8 @@ def cmd_fit(args) -> int:
         print("error: --model applies only with --stratified", file=sys.stderr)
         return EXIT_USAGE
     model = args.model or "per_stratum_rate"
-    data = _load_replication(args)
+    data = (estimator.PSYCH_REP if args.builtin
+            else _read_replication(Path(args.data), args.stratified))
     design = _design_from(args)
     record = {"design": design._asdict(), "observed_rate": data.rate}
     if args.stratified:

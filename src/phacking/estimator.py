@@ -166,11 +166,11 @@ def fit_h_stratified(
     ``_h_root`` of its masses is its root; otherwise its rate does not
     move with h and it has none.
     """
+    if model not in ("per_stratum_rate", "threshold_clustering"):
+        raise DomainError(f"unknown stratum model {model!r}")
     if not data.strata:
         raise DomainError("stratified fit requires strata")
     point = fit_h(data, design)
-    if model not in ("per_stratum_rate", "threshold_clustering"):
-        raise DomainError(f"unknown stratum model {model!r}")
     clustered = model == "threshold_clustering"
     roots = []
     residuals = []
@@ -210,7 +210,7 @@ def solve_psi_for_rr_ratio(
     outside the attainable range the nearest boundary is returned with
     ``achievable=False``.
     """
-    if target_ratio <= 0.0:
+    if not target_ratio > 0.0:  # also rejects NaN
         raise DomainError(f"target_ratio={target_ratio} must be positive")
     if h <= 0.0:
         raise DomainError("solve requires h > 0 (psi has no effect at h = 0)")

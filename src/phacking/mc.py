@@ -38,13 +38,17 @@ Z_LIMIT = 4.0
 
 
 class SimConfig(namedtuple("SimConfig", "n_tests seed design hacking cutoff")):
-    """Simulation parameters.  ``design.beta`` is interpreted at
-    ``cutoff``, the operative significance level."""
+    """Simulation parameters.  ``n_tests`` and ``seed`` are ints;
+    ``design.beta`` is interpreted at ``cutoff``, the operative
+    significance level."""
 
     __slots__ = ()
 
     def __new__(cls, n_tests: int, seed: int, design: TestDesign, hacking: HackingRegime,
                 cutoff: float):
+        for name, value in (("n_tests", n_tests), ("seed", seed)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise DomainError(f"{name}={value!r} must be an integer")
         if not 1 <= n_tests <= MAX_TESTS:
             raise DomainError(f"n_tests={n_tests} must lie in [1, 2**53]")
         if seed < 0:

@@ -58,6 +58,10 @@ class TestDesign(namedtuple("TestDesign", "alpha beta phi")):
         return TestDesign(alpha, self.beta, self.phi)
 
 
+#: Benjamin et al.'s (2017) design, the paper's reference: cutoff 0.05, power 0.80, odds 1:10.
+PAPER_DESIGN = TestDesign(0.05, 0.2, DEFAULT_PHI)
+
+
 def interpolated_psi(pi: float, naive_cdf: float = 0.0) -> float:
     """Persistence interpolated between the naive CDF value of hacked
     P-values below the new cutoff (pi = 0) and full persistence (pi = 1):
@@ -143,13 +147,9 @@ class OutcomeTable(namedtuple("OutcomeTable", (
     def cells(self) -> dict[str, float]:
         return dict(zip(CELLS, self))
 
-    @property
-    def reject_total(self) -> float:
-        return self.sound_true_reject + self.unsound_reject + self.sound_false_reject
-
     def rates(self) -> "Rates":
         """FPR/RR computed directly from the reject-row cells."""
-        total = self.reject_total
+        total = self.sound_true_reject + self.unsound_reject + self.sound_false_reject
         if total == 0.0:
             raise DomainError("no rejections: rates undefined")
         fpr = (self.sound_true_reject + self.unsound_reject) / total

@@ -11,9 +11,8 @@ from collections import namedtuple
 
 from . import svg
 from .errors import DomainError
-from .rates import DEFAULT_PHI, TestDesign, fpr_bound, fpr_regime, rr_ratio, rr_regime
-
-DEFAULT_BETA = 0.20
+from .rates import (DEFAULT_PHI, PAPER_DESIGN, TestDesign, fpr_bound, fpr_regime, rr_ratio,
+                    rr_regime)
 
 _POWER_FINE = tuple(round(0.05 + 0.01 * i, 2) for i in range(95))  # 0.05 .. 0.99
 _POWER_COARSE = tuple(round(0.05 * i, 2) for i in range(1, 20))  # 0.05 .. 0.95
@@ -44,11 +43,6 @@ def _design(alpha: float, power: float) -> TestDesign:
     return TestDesign(alpha, 1.0 - power, DEFAULT_PHI)
 
 
-#: The 0.05-cutoff design at the default power that figures 3 and 5
-#: compare the 0.005 cutoff against.
-_OLD = TestDesign(0.05, DEFAULT_BETA, DEFAULT_PHI)
-
-
 def sweep_figure1() -> SweepResult:
     """FPR vs power for alpha in {0.05, 0.005} x h in {0, 0.05, 0.15},
     prior odds 1:10, full persistence at each operative cutoff."""
@@ -73,10 +67,10 @@ def sweep_figure3(h: float) -> SweepResult:
     """Conservative regime-change FPR bound (psi = pi) over the
     persistence parameter at the 0.005 cutoff, with three references:
     FPR with hacking at 0.05, sound FPR at 0.005 and sound FPR at 0.05."""
-    new = TestDesign(0.005, DEFAULT_BETA, DEFAULT_PHI)
-    references = (("fpr_hacked_0.05", fpr_regime(_OLD, h)),
+    new = PAPER_DESIGN.with_alpha(0.005)
+    references = (("fpr_hacked_0.05", fpr_regime(PAPER_DESIGN, h)),
                   ("fpr_sound_0.005", fpr_regime(new)),
-                  ("fpr_sound_0.05", fpr_regime(_OLD)))
+                  ("fpr_sound_0.05", fpr_regime(PAPER_DESIGN)))
     return _sweep(f"figure3_h{h!r}", "line", (("pi", _PI_GRID),), ("fpr_bound",),
                   lambda pi: (fpr_bound(new, h, pi),), references)
 
@@ -94,7 +88,7 @@ def sweep_figure5(h: float) -> SweepResult:
     grid, persistence psi) to the rate at the 0.05 cutoff with power
     0.80; cells with ratio < 1 are tagged ``below_one``."""
     def cell(power, psi):
-        ratio = rr_ratio(_design(0.005, power), _OLD, h, psi)
+        ratio = rr_ratio(_design(0.005, power), PAPER_DESIGN, h, psi)
         return ratio, float(ratio < 1.0)
 
     axes = (("power", _POWER_COARSE), ("psi", _PSI_COARSE))

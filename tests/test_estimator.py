@@ -231,8 +231,10 @@ class TestFitHStratified:
             fit_h_stratified(ReplicationData(total=10, replicated=4), OLD)
 
     def test_unknown_model(self):
-        with pytest.raises(DomainError):
-            fit_h_stratified(PSYCH_REP, OLD, model="nope")
+        # named before the pooled fit, which finds no root for 10/10 replicated
+        for data in (PSYCH_REP, ReplicationData(10, 10, PSYCH_REP.strata)):
+            with pytest.raises(DomainError, match="unknown stratum model 'nope'"):
+                fit_h_stratified(data, OLD, model="nope")
 
 
 def test_identity_regime_over_random_designs():
@@ -307,3 +309,8 @@ class TestSolvePsi:
     def test_requires_positive_h(self):
         with pytest.raises(DomainError):
             solve_psi_for_rr_ratio(2.0, NEW, OLD, 0.0)
+
+    @pytest.mark.parametrize("target", [0.0, -1.0, np.nan], ids=["zero", "negative", "nan"])
+    def test_requires_positive_target(self, target):
+        with pytest.raises(DomainError, match=r"target_ratio=.* must be positive"):
+            solve_psi_for_rr_ratio(target, NEW, OLD, 0.05)

@@ -133,6 +133,10 @@ class TestSimulate:
             config(cutoff=0.06)
         with pytest.raises(DomainError, match="seed=-1 must be >= 0"):
             config(seed=-1)
+        # random.Random seeds a float by its hash, and a NaN hashes by identity
+        for bad in ({"n": 1000.0}, {"n": True}, {"seed": math.nan}, {"seed": 1.0}, {"seed": False}):
+            with pytest.raises(DomainError, match="must be an integer"):
+                config(**bad)
 
 
 class TestCrosscheck:

@@ -8,6 +8,7 @@ from scipy.integrate import quad
 from scipy.stats import norm
 
 from phacking import (
+    PAPER_DESIGN,
     DomainError,
     HackingRegime,
     Rates,
@@ -55,6 +56,10 @@ def rejects(design, h, psi):
 
 
 class TestSoundRates:
+    def test_paper_design(self):
+        # cutoff 0.05, power 0.80, odds 1:10, bit for bit, as a checked TestDesign
+        assert PAPER_DESIGN == OLD and type(PAPER_DESIGN) is TestDesign
+
     def test_paper_values(self):
         assert fpr_regime(OLD) == pytest.approx(0.3846, abs=5e-4)
         assert fpr_regime(NEW) == pytest.approx(0.0588, abs=5e-4)
