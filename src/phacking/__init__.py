@@ -26,9 +26,10 @@ _EXPORTS = {
     ),
     "mc": ("CrosscheckReport", "SimConfig", "SimOutcome", "crosscheck", "simulate"),
     "sweeps": (
-        "SweepResult", "render_csv", "render_svg", "sweep_figure1", "sweep_figure2",
-        "sweep_figure3", "sweep_figure4", "sweep_figure5",
+        "SweepResult", "render_csv", "sweep_figure1", "sweep_figure2", "sweep_figure3",
+        "sweep_figure4", "sweep_figure5",
     ),
+    "svg": ("render_svg",),
 }
 _SOURCE = {name: module for module, names in _EXPORTS.items() for name in names}
 

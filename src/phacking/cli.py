@@ -45,8 +45,8 @@ def _parse_prior_odds(text: str) -> float:
     return b / (a + b)
 
 
-def _add_design_flags(parser, default_alpha=0.05):
-    parser.add_argument("--alpha", type=float, default=default_alpha,
+def _add_design_flags(parser):
+    parser.add_argument("--alpha", type=float, default=0.05,
                         help="operative significance cutoff (default %(default)s)")
     g = parser.add_mutually_exclusive_group()
     g.add_argument("--beta", type=float, help="Type-II error rate at the cutoff")
@@ -85,7 +85,7 @@ def _regime_from(args) -> rates.HackingRegime:
 def _figure_id(text: str) -> int:
     from .sweeps import FIGURES
 
-    figure = int(text) if text.strip().isdigit() else None
+    figure = int(text) if text.strip().isdecimal() else None
     if figure not in FIGURES:
         raise argparse.ArgumentTypeError(f"unknown figure id {text}")
     return figure
@@ -197,12 +197,14 @@ def cmd_fit(args) -> int:
 
 def _write_results(results, out: Path, want_svg: bool) -> list[Path]:
     from . import sweeps
+    if want_svg:
+        from . import svg
 
     written = []
     for result in results:
         written.append(_write(out / f"{result.figure_id}.csv", sweeps.render_csv(result)))
         if want_svg:
-            written.append(_write(out / f"{result.figure_id}.svg", sweeps.render_svg(result)))
+            written.append(_write(out / f"{result.figure_id}.svg", svg.render_svg(result)))
     return written
 
 

@@ -1,7 +1,11 @@
-"""Minimal deterministic SVG helpers: line charts and cell-grid
-heatmaps, no external assets."""
+"""Standalone SVG 1.1 rendering of a :class:`~phacking.sweeps.SweepResult`:
+a line chart or a cell-grid heatmap, deterministic and with no external
+assets.  Only paths that write an SVG import this module."""
 
-from collections.abc import Sequence
+import itertools
+
+from .errors import DomainError
+from .sweeps import SweepResult, _num
 
 WIDTH = 720
 HEIGHT = 480
@@ -24,16 +28,6 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _header(title: str) -> list[str]:
-    return [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{WIDTH}" height="{HEIGHT}" '
-        f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif" font-size="12">',
-        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<text x="{WIDTH / 2}" y="20" text-anchor="middle" font-size="15">{_escape(title)}</text>',
-    ]
-
-
 def _x_tick(x: float, value: float) -> str:
     return (f'<text x="{_fmt(x)}" y="{HEIGHT - MARGIN_BOTTOM + 18}" text-anchor="middle">'
             f"{_fmt(value)}</text>")
@@ -48,17 +42,39 @@ def _x_label(label: str) -> str:
             f"{_escape(label)}</text>")
 
 
-def line_chart(
-    title: str,
-    x_label: str,
-    series: Sequence[tuple[str, Sequence[float], Sequence[float]]],
-    references: Sequence[tuple[str, float]] = (),
-) -> str:
-    """Line chart over (name, x-values, y-values) series; ``references``
-    are labeled horizontal dashed lines."""
-    xs = [x for _, sx, _ in series for x in sx]
-    ys = [y for _, _, sy in series for y in sy]
-    ys += [v for _, v in references]
+def render_svg(result: SweepResult) -> str:
+    """Standalone SVG 1.1 rendering.  A line chart (1-3 axes) puts the
+    last axis on x and draws one series per column and point of the
+    leading axes.  A heatmap (2 axes) puts the first axis on y and the
+    second on x, colors each cell by the first column and draws cells
+    red where a last column ``below_one`` is set."""
+    if result.kind == "line":
+        if not 1 <= len(result.axes) <= 3:
+            raise DomainError(f"line chart needs 1-3 axes, got {len(result.axes)}")
+        title, body = result.figure_id, _draw_lines(result)
+    elif result.kind == "heatmap":
+        if len(result.axes) != 2:
+            raise DomainError(f"heatmap needs exactly 2 axes, got {len(result.axes)}")
+        title, body = f"{result.figure_id} ({result.columns[0]})", _draw_cells(result)
+    else:
+        raise DomainError(f"unknown sweep kind {result.kind!r}")
+    return "\n".join([
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" width="{WIDTH}" height="{HEIGHT}" '
+        f'viewBox="0 0 {WIDTH} {HEIGHT}" font-family="sans-serif" font-size="12">',
+        f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
+        f'<text x="{WIDTH / 2}" y="20" text-anchor="middle" font-size="15">{_escape(title)}</text>',
+        *body,
+        "</svg>",
+    ]) + "\n"
+
+
+def _draw_lines(result: SweepResult) -> list[str]:
+    """One polyline per column and point of the leading axes, then the
+    dashed ``references``, each with its legend entry."""
+    *lead_axes, (x_name, xs) = result.axes
+    values = dict(result.rows)
+    ys = [y for _, row in result.rows for y in row] + [v for _, v in result.references]
     x_lo, x_hi = min(xs), max(xs)
     y_lo, y_hi = min(ys + [0.0]), max(ys + [1e-9])
     if x_hi == x_lo:
@@ -70,29 +86,31 @@ def line_chart(
     def py(y):
         return MARGIN_TOP + PLOT_H - (y - y_lo) / (y_hi - y_lo) * PLOT_H
 
-    out = _header(title)
-    out.append(
-        f'<rect x="{MARGIN_LEFT}" y="{MARGIN_TOP}" width="{PLOT_W}" height="{PLOT_H}" '
-        'fill="none" stroke="#333"/>'
-    )
+    out = [f'<rect x="{MARGIN_LEFT}" y="{MARGIN_TOP}" width="{PLOT_W}" height="{PLOT_H}" '
+           'fill="none" stroke="#333"/>']
     for i in range(5):
         xv = x_lo + (x_hi - x_lo) * i / 4
         yv = y_lo + (y_hi - y_lo) * i / 4
         out.append(_x_tick(px(xv), xv))
         out.append(_y_tick(py(yv), yv))
-    out.append(_x_label(x_label))
+    out.append(_x_label(x_name))
     legend_y = MARGIN_TOP + 10
-    for i, (name, sx, sy) in enumerate(series):
-        color = COLORS[i % len(COLORS)]
-        points = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(sx, sy))
-        out.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>')
-        out.append(
-            f'<line x1="{LEGEND_X}" y1="{legend_y}" x2="{LEGEND_X + 24}" y2="{legend_y}" '
-            f'stroke="{color}" stroke-width="1.5"/>'
-        )
-        out.append(f'<text x="{LEGEND_X + 30}" y="{legend_y + 4}">{_escape(name)}</text>')
-        legend_y += 18
-    for name, value in references:
+    colors = itertools.cycle(COLORS)
+    for lead in itertools.product(*(vals for _, vals in lead_axes)):
+        prefix = [f"{n}={_num(v)}" for (n, _), v in zip(lead_axes, lead)]
+        rows = [values[(*lead, x)] for x in xs]
+        for i, column in enumerate(result.columns):
+            name = " ".join([*prefix, column])
+            color = next(colors)
+            points = " ".join(f"{_fmt(px(x))},{_fmt(py(row[i]))}" for x, row in zip(xs, rows))
+            out.append(f'<polyline fill="none" stroke="{color}" stroke-width="1.5" points="{points}"/>')
+            out.append(
+                f'<line x1="{LEGEND_X}" y1="{legend_y}" x2="{LEGEND_X + 24}" y2="{legend_y}" '
+                f'stroke="{color}" stroke-width="1.5"/>'
+            )
+            out.append(f'<text x="{LEGEND_X + 30}" y="{legend_y + 4}">{_escape(name)}</text>')
+            legend_y += 18
+    for name, value in result.references:
         out.append(
             f'<line x1="{MARGIN_LEFT}" y1="{_fmt(py(value))}" x2="{MARGIN_LEFT + PLOT_W}" '
             f'y2="{_fmt(py(value))}" stroke="#555" stroke-width="1" stroke-dasharray="5,4"/>'
@@ -101,8 +119,7 @@ def line_chart(
             f'<text x="{LEGEND_X}" y="{legend_y + 4}" fill="#555">{_escape(name)} = {_fmt(value)}</text>'
         )
         legend_y += 18
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    return out
 
 
 def _cell_color(value: float, lo: float, hi: float, below_one: bool) -> str:
@@ -116,44 +133,39 @@ def _cell_color(value: float, lo: float, hi: float, below_one: bool) -> str:
     return f"rgb({r},{g},{b})"
 
 
-def heatmap(
-    title: str,
-    x_label: str,
-    y_label: str,
-    x_values: Sequence[float],
-    y_values: Sequence[float],
-    grid: Sequence[Sequence[float]],
-    below_one: Sequence[Sequence[bool]] | None = None,
-) -> str:
-    """Cell-grid heatmap; ``grid[i][j]`` is the value at (y_values[i],
-    x_values[j]).  Cells flagged in ``below_one`` are drawn red."""
-    flat = [v for row in grid for v in row]
-    lo, hi = min(flat), max(flat)
-    cw = PLOT_W / len(x_values)
-    ch = PLOT_H / len(y_values)
+def _draw_cells(result: SweepResult) -> list[str]:
+    """One cell per grid point, colored by the first column, with the
+    first axis on y, the second on x and the first column's range."""
+    (y_name, ys), (x_name, xs) = result.axes
+    flagged = result.columns[-1] == "below_one"
+    values = dict(result.rows)
+    firsts = [row[0] for _, row in result.rows]
+    lo, hi = min(firsts), max(firsts)
+    cw = PLOT_W / len(xs)
+    ch = PLOT_H / len(ys)
 
-    out = _header(title)
-    for i in range(len(y_values)):
-        for j in range(len(x_values)):
-            color = _cell_color(grid[i][j], lo, hi, below_one is not None and below_one[i][j])
+    out = []
+    for i, yv in enumerate(ys):
+        for j, xv in enumerate(xs):
+            row = values[(yv, xv)]
+            color = _cell_color(row[0], lo, hi, flagged and bool(row[-1]))
             x = MARGIN_LEFT + j * cw
             y = MARGIN_TOP + PLOT_H - (i + 1) * ch
             out.append(
                 f'<rect x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(cw)}" height="{_fmt(ch)}" '
                 f'fill="{color}" stroke="#ddd" stroke-width="0.3"/>'
             )
-    step_x = max(1, len(x_values) // 8)
-    for j in range(0, len(x_values), step_x):
-        out.append(_x_tick(MARGIN_LEFT + (j + 0.5) * cw, x_values[j]))
-    step_y = max(1, len(y_values) // 8)
-    for i in range(0, len(y_values), step_y):
-        out.append(_y_tick(MARGIN_TOP + PLOT_H - (i + 0.5) * ch, y_values[i]))
-    out.append(_x_label(x_label))
+    step_x = max(1, len(xs) // 8)
+    for j in range(0, len(xs), step_x):
+        out.append(_x_tick(MARGIN_LEFT + (j + 0.5) * cw, xs[j]))
+    step_y = max(1, len(ys) // 8)
+    for i in range(0, len(ys), step_y):
+        out.append(_y_tick(MARGIN_TOP + PLOT_H - (i + 0.5) * ch, ys[i]))
+    out.append(_x_label(x_name))
     out.append(
         f'<text x="18" y="{MARGIN_TOP + PLOT_H / 2}" text-anchor="middle" '
-        f'transform="rotate(-90 18 {MARGIN_TOP + PLOT_H / 2})">{_escape(y_label)}</text>'
+        f'transform="rotate(-90 18 {MARGIN_TOP + PLOT_H / 2})">{_escape(y_name)}</text>'
     )
     out.append(f'<text x="{LEGEND_X}" y="{MARGIN_TOP + 10}">min = {_fmt(lo)}</text>')
     out.append(f'<text x="{LEGEND_X}" y="{MARGIN_TOP + 28}">max = {_fmt(hi)}</text>')
-    out.append("</svg>")
-    return "\n".join(out) + "\n"
+    return out

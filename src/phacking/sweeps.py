@@ -1,15 +1,14 @@
-"""Parameter sweeps backing the five figures, plus deterministic CSV and
-SVG rendering.
+"""Parameter sweeps backing the five figures, plus deterministic CSV
+rendering.
 
 All sweep cells are computed by calling the closed-form functions in
 :mod:`phacking.rates`; nothing here reimplements a formula.  CSV is the
-canonical artifact; SVG is a derived view.
+canonical artifact; :func:`phacking.svg.render_svg` draws a derived view.
 """
 
 import itertools
 from collections import namedtuple
 
-from . import svg
 from .errors import DomainError
 from .rates import (DEFAULT_PHI, PAPER_DESIGN, TestDesign, fpr_bound, fpr_regime, rr_ratio,
                     rr_regime)
@@ -136,31 +135,3 @@ def render_csv(result: SweepResult) -> str:
         lines.append(",".join(_num(v) for v in (*point, *values)))
     return "\n".join(lines) + "\n"
 
-
-def render_svg(result: SweepResult) -> str:
-    """Standalone SVG 1.1 rendering.  A line chart (1-3 axes) puts the
-    last axis on x and draws one series per column and point of the
-    leading axes.  A heatmap (2 axes) puts the first axis on y and the
-    second on x, colors each cell by the first column and draws cells
-    red where a last column ``below_one`` is set."""
-    axes, columns = result.axes, result.columns
-    values = dict(result.rows)
-    if result.kind == "line":
-        if not 1 <= len(axes) <= 3:
-            raise DomainError(f"line chart needs 1-3 axes, got {len(axes)}")
-        *lead_axes, (x_name, xs) = axes
-        series = []
-        for lead in itertools.product(*(vals for _, vals in lead_axes)):
-            prefix = [f"{n}={_num(v)}" for (n, _), v in zip(lead_axes, lead)]
-            for i, column in enumerate(columns):
-                series.append((" ".join([*prefix, column]), xs, [values[(*lead, x)][i] for x in xs]))
-        return svg.line_chart(result.figure_id, x_name, series, result.references)
-    if result.kind != "heatmap":
-        raise DomainError(f"unknown sweep kind {result.kind!r}")
-    if len(axes) != 2:
-        raise DomainError(f"heatmap needs exactly 2 axes, got {len(axes)}")
-    (y_name, ys), (x_name, xs) = axes
-    cells = [[values[(y, x)] for x in xs] for y in ys]
-    flags = [[bool(c[-1]) for c in row] for row in cells] if columns[-1] == "below_one" else None
-    return svg.heatmap(f"{result.figure_id} ({columns[0]})", x_name, y_name, xs, ys,
-                       [[c[0] for c in row] for row in cells], below_one=flags)

@@ -238,9 +238,10 @@ class TestSweep:
         assert "hacking rate for figures " + " and ".join(taking_h) in out
 
     def test_unknown_figure_exit_2(self, capsys, tmp_path):
-        code, _, err = run(capsys, "sweep", "--figure", "9", "--out", str(tmp_path))
-        assert code == 2
-        assert "unknown figure" in err
+        for figure in ("9", "³"):  # "³".isdigit(), but int() rejects it
+            code, _, err = run(capsys, "sweep", "--figure", figure, "--out", str(tmp_path))
+            assert code == 2
+            assert f"unknown figure id {figure}" in err
 
 
 class TestSimulate:
@@ -398,9 +399,12 @@ def test_replays_golden_calls(capsys):
         assert (code, captured.out, captured.err) == (call["code"], call["stdout"], call["stderr"]), name
 
 
-# CLI contract: every call exits 0, 2 or 3 without a traceback, prints strict
-# JSON on success, names an input it was given when it rejects one (a `--data`
-# file by its path), and `sweep` prints the paths it wrote.
+# CLI contract: every call but `reproduce` exits 0, 2 or 3 without a
+# traceback, prints strict JSON on success, names an input it was given when it
+# rejects one (a `--data` file by its path), and `sweep` prints the paths it
+# wrote.  `reproduce` writes the seven figures as CSV and SVG, fails only the
+# h = 0.15 doubling threshold under --strict (exit 1), and names an --out it
+# cannot write (exit 3).
 NUMBERS = st.sampled_from(["nan", "inf", "-inf", "-0.0", "5e-324", "1e-320", "1e308", "0", "1",
                            "0.05", "0.5", "x", ""])
 ODDS = st.one_of(st.builds("{}:{}".format, NUMBERS, NUMBERS), st.sampled_from(["1", "1:2:3"]))
@@ -412,11 +416,12 @@ FLAGS = {
     "rates": {**DESIGN_FLAGS, **HACKING_FLAGS},
     "fit": {**DESIGN_FLAGS, "--stratified": None,
             "--model": st.sampled_from(["per_stratum_rate", "threshold_clustering", "x"])},
-    "sweep": {"--figure": st.sampled_from(["1", "2", "3", "4", "5", "9", "x"]), "--h": NUMBERS,
-              "--svg": None},
+    "sweep": {"--figure": st.sampled_from(["1", "2", "3", "4", "5", "9", "³", "x"]),
+              "--h": NUMBERS, "--svg": None},
     # --n is small or invalid: the contract does not depend on it
     "simulate": {**DESIGN_FLAGS, **HACKING_FLAGS, "--seed": st.sampled_from(["0", "1", "-1", "x"]),
                  "--n": st.sampled_from(["0", "1", "1000", "-1", "1e3", "9007199254740993"])},
+    "reproduce": {"--strict": None},
 }
 #: Names a flag's value goes by in error messages, where they differ from the flag's own.
 FIELDS = {"--alpha": {"alpha", "new_alpha", "cutoff"}, "--prior-odds": {"phi"}, "--n": {"n_tests"}}
@@ -427,6 +432,11 @@ DATA_FILES = ("replication_split.json", "replication_no_strata.json",
 #: `fit`'s data source: the built-in counts or one of the files.
 FIT_SOURCES = st.sampled_from(["--builtin=psych-rep",
                                *(f"--data={GOLDEN / name}" for name in DATA_FILES)])
+#: The argument a subcommand always takes: `fit`'s data source, and
+#: `reproduce`'s output, a new directory or an existing file in the
+#: contract's output directory `{tmp}`.
+REQUIRED = {"fit": FIT_SOURCES,
+            "reproduce": st.sampled_from(["--out={tmp}/new", "--out={tmp}/file"])}
 #: The messages of ``NoRootError``: no hacking rate fits the data, which is
 #: a fact about all inputs together, so they name none.
 NO_ROOT = re.compile(r"contains no root|no stratum admitted a root|no h in \[0, 1\) fits")
@@ -436,7 +446,9 @@ NO_ROOT = re.compile(r"contains no root|no stratum admitted a root|no h in \[0, 
 def cli_calls(draw):
     command = draw(st.sampled_from(sorted(FLAGS)))
     flags = draw(st.lists(st.sampled_from(sorted(FLAGS[command])), unique=True, max_size=4))
-    argv = [command, draw(FIT_SOURCES)] if command == "fit" else [command]
+    argv = [command]
+    if command in REQUIRED:
+        argv.append(draw(REQUIRED[command]))
     for flag in flags:
         value = FLAGS[command][flag]
         argv.append(flag if value is None else f"{flag}={draw(value)}")
@@ -472,10 +484,24 @@ def check_contract(argv):
     with tempfile.TemporaryDirectory() as out:
         if argv[0] == "sweep":
             argv = [*argv, "--out", out]
+        elif argv[0] == "reproduce":
+            Path(out, "file").touch()
+            argv = [arg.format(tmp=out) for arg in argv]
         stdout, stderr = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
             code = main(argv)
-        written = sorted(str(path) for path in Path(out).iterdir())
+        written = sorted(str(path) for path in Path(out).rglob("*"))
+    if argv[0] == "reproduce":
+        out_dir = Path(argv[1].removeprefix("--out="))
+        if out_dir.name == "file":
+            assert code == 3 and str(out_dir) in stderr.getvalue(), (argv, stderr.getvalue())
+            return
+        fails = [line for line in stdout.getvalue().splitlines() if line.startswith("FAIL")]
+        figures = sorted(Path(path).suffix for path in written if Path(path).parent == out_dir)
+        strict = int("--strict" in given_flags)  # exit 1 and one FAIL line
+        assert (code, len(fails), figures) == (strict, strict, [".csv"] * 7 + [".svg"] * 7), argv
+        assert all("doubling threshold at h=0.15" in line for line in fails), fails
+        return
     assert code in (0, 2, 3), (argv, stderr.getvalue())
     if code == 3:
         # A message that names inputs with their values (name=value) names

@@ -29,7 +29,8 @@ print(json.dumps([code, sorted(loaded)]), file=sys.stderr)
 """
 
 BASE = ["cli", "errors", "rates"]
-FIGURES = sorted(BASE + ["svg", "sweeps"])
+SWEEPS = sorted(BASE + ["sweeps"])
+FIGURES = sorted(SWEEPS + ["svg"])
 
 
 def run_child(*argv):
@@ -50,11 +51,12 @@ def test_import_loads_only_the_standard_library():
     (["fit", "--builtin", "psych-rep"], 0, sorted(BASE + ["estimator"])),
     (["fit", "--builtin", "psych-rep", "--stratified"], 0, sorted(BASE + ["estimator"])),
     (["sweep", "--figure", "5", "--svg", "--out", "{tmp}"], 0, FIGURES),
+    (["sweep", "--figure", "1", "--out", "{tmp}"], 0, SWEEPS),
     (["reproduce", "--out", "{tmp}"], 0, sorted(FIGURES + ["claims", "estimator"])),
     (["simulate", "--seed", "-1"], 3, sorted(BASE + ["mc"])),
     (["rates", "--beta", "0.2", "--power", "0.8"], 2, BASE),
-    (["sweep", "--figure", "9"], 2, FIGURES),
-], ids=["rates", "fit", "fit-stratified", "sweep", "reproduce", "exit-3", "exit-2",
+    (["sweep", "--figure", "9"], 2, SWEEPS),
+], ids=["rates", "fit", "fit-stratified", "sweep", "sweep-csv", "reproduce", "exit-3", "exit-2",
         "exit-2-figure"])
 def test_light_paths_load_neither(tmp_path, argv, want_code, want_loaded):
     code, loaded, _ = run_child(*(arg.format(tmp=tmp_path) for arg in argv))
