@@ -7,8 +7,8 @@ P < 0.005 and 12/50 for 0.005 < P < 0.05) ship as ``PSYCH_REP``.
 
 from collections import namedtuple
 
-from .errors import DomainError, NoRootError
-from .rates import TestDesign, masses, power_at_new_cutoff, rr_ratio, rr_regime
+from .rates import (DomainError, NoRootError, TestDesign, masses, power_at_new_cutoff, rr_ratio,
+                    rr_regime)
 
 class ReplicationStratum(namedtuple("ReplicationStratum", "p_low p_high total replicated")):
     __slots__ = ()

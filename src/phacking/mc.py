@@ -24,8 +24,7 @@ import math
 import random
 from collections import namedtuple
 
-from .errors import DomainError
-from .rates import CELLS, HackingRegime, TestDesign, fpr_regime, resolve_psi, rr_regime
+from .rates import CELLS, DomainError, HackingRegime, TestDesign, fpr_regime, resolve_psi, rr_regime
 
 GENERATOR_NAME = "python-MT19937-binomial"
 
@@ -40,7 +39,8 @@ Z_LIMIT = 4.0
 class SimConfig(namedtuple("SimConfig", "n_tests seed design hacking cutoff")):
     """Simulation parameters.  ``n_tests`` and ``seed`` are ints;
     ``design.beta`` is interpreted at ``cutoff``, the operative
-    significance level."""
+    significance level, which ``rates.resolve_psi`` checks against the
+    baseline."""
 
     __slots__ = ()
 
@@ -53,10 +53,7 @@ class SimConfig(namedtuple("SimConfig", "n_tests seed design hacking cutoff")):
             raise DomainError(f"n_tests={n_tests} must lie in [1, 2**53]")
         if seed < 0:
             raise DomainError(f"seed={seed} must be >= 0")
-        if not (0.0 < cutoff <= hacking.baseline_alpha):
-            raise DomainError(
-                f"cutoff={cutoff} must lie in (0, baseline_alpha={hacking.baseline_alpha}]"
-            )
+        resolve_psi(hacking, cutoff)
         return tuple.__new__(cls, (n_tests, seed, design, hacking, cutoff))
 
 
@@ -65,9 +62,9 @@ class SimOutcome(namedtuple("SimOutcome", (
         "empirical_fpr", "empirical_rr", "se_fpr", "se_rr", "empty_denominator"))):
     """Cell counts of the outcome table plus empirical rates.
 
-    Rates are NaN with ``empty_denominator=True`` when no study is
-    significant.  Standard errors are binomial over the significant
-    count.
+    Rates and standard errors are None, no estimate, with
+    ``empty_denominator=True`` when no study is significant.  Standard
+    errors are binomial over the significant count.
     """
 
     __slots__ = ()
@@ -98,7 +95,7 @@ def simulate(config: SimConfig) -> SimOutcome:
 
     n_sig = str_ + sfr + ur
     if n_sig == 0:
-        fpr = rr = se_fpr = se_rr = math.nan
+        fpr = rr = se_fpr = se_rr = None
         empty = True
     else:
         fpr = (str_ + ur) / n_sig

@@ -10,13 +10,31 @@ Conventions used throughout:
 * ``h`` is the proportion of all observed P-values that are hacked; by
   convention every hacked P-value is significant at the baseline cutoff.
 * ``psi`` is the persistence: the proportion of hacked P-values that stay
-  significant after the cutoff is lowered.
+  significant after the cutoff is lowered.  It is defined only for a
+  cutoff at or below the baseline; ``resolve_psi`` is the one place that
+  checks a cutoff against the baseline, for the Monte Carlo oracle too.
+
+The package's three exception types live here, the module every path loads.
 """
 
 import math
 from collections import namedtuple
 
-from .errors import DomainError
+
+class ModelError(Exception):
+    """Base class of every error the model raises; the CLI exits 3 on any."""
+
+
+class DomainError(ModelError, ValueError):
+    """An input is outside the domain the model is defined on: an argument
+    out of its range, a design with no rejections, a cutoff above the
+    baseline, a bad simulation setting or a figure shape no renderer
+    draws."""
+
+
+class NoRootError(ModelError):
+    """No hacking rate in [0, 1) is consistent with the observed rate."""
+
 
 #: Absolute tolerance for internal identity checks (complementarity,
 #: table cell sums).  Paper-value regressions use a looser 5e-3 because
@@ -27,11 +45,11 @@ IDENTITY_ATOL = 1e-12
 DEFAULT_PHI = 10.0 / 11.0
 
 
-def _check_prob(name, value, *, lo=0.0, hi=1.0, open_lo=False, open_hi=False):
-    if not (lo <= value <= hi) or (open_lo and value == lo) or (open_hi and value == hi):
+def _check_prob(name, value, *, open_lo=False, open_hi=False):
+    if not (0.0 <= value <= 1.0) or (open_lo and value == 0.0) or (open_hi and value == 1.0):
         lo_b = "(" if open_lo else "["
         hi_b = ")" if open_hi else "]"
-        raise DomainError(f"{name}={value!r} outside {lo_b}{lo}, {hi}{hi_b}")
+        raise DomainError(f"{name}={value!r} outside {lo_b}0.0, 1.0{hi_b}")
 
 
 class TestDesign(namedtuple("TestDesign", "alpha beta phi")):
@@ -97,19 +115,17 @@ class HackingRegime(namedtuple("HackingRegime", "h baseline_alpha psi")):
         return tuple.__new__(cls, (h, baseline_alpha, psi))
 
 
-def resolve_psi(regime: HackingRegime, new_alpha: float) -> float:
-    """Persistence of hacked P-values at ``new_alpha``.
+def resolve_psi(regime: HackingRegime, alpha: float) -> float:
+    """Persistence of hacked P-values at the cutoff ``alpha``.
 
     At the baseline cutoff the answer is exactly 1, below it ``regime.psi``.
-    Raises DomainError for new_alpha > baseline_alpha: the monotonicity
-    assumption only covers lowering the cutoff.
+    Raises DomainError for alpha outside (0, 1) or above baseline_alpha:
+    the monotonicity assumption only covers lowering the cutoff.
     """
-    _check_prob("new_alpha", new_alpha, open_lo=True, open_hi=True)
-    if new_alpha > regime.baseline_alpha:
-        raise DomainError(
-            f"new_alpha={new_alpha} > baseline_alpha={regime.baseline_alpha}"
-        )
-    if new_alpha == regime.baseline_alpha:
+    _check_prob("alpha", alpha, open_lo=True, open_hi=True)
+    if alpha > regime.baseline_alpha:
+        raise DomainError(f"alpha={alpha} > baseline_alpha={regime.baseline_alpha}")
+    if alpha == regime.baseline_alpha:
         return 1.0
     return regime.psi
 

@@ -4,7 +4,7 @@ assets.  Only paths that write an SVG import this module."""
 
 import itertools
 
-from .errors import DomainError
+from .rates import DomainError
 from .sweeps import SweepResult, _num
 
 WIDTH = 720

@@ -9,9 +9,8 @@ canonical artifact; :func:`phacking.svg.render_svg` draws a derived view.
 import itertools
 from collections import namedtuple
 
-from .errors import DomainError
-from .rates import (DEFAULT_PHI, PAPER_DESIGN, TestDesign, fpr_bound, fpr_regime, rr_ratio,
-                    rr_regime)
+from .rates import (DEFAULT_PHI, PAPER_DESIGN, DomainError, TestDesign, fpr_bound, fpr_regime,
+                    rr_ratio, rr_regime)
 
 _POWER_FINE = tuple(round(0.05 + 0.01 * i, 2) for i in range(95))  # 0.05 .. 0.99
 _POWER_COARSE = tuple(round(0.05 * i, 2) for i in range(1, 20))  # 0.05 .. 0.95

@@ -84,6 +84,14 @@ class TestRates:
         code, out, err = run(capsys, "rates", "--alpha", "0.005", flag, "1.5")
         assert (code, out, err) == (3, "", f"error: {flag[2:]}=1.5 outside [0.0, 1.0]\n")
 
+    @pytest.mark.parametrize("argv, alpha, baseline", [
+        (["rates", "--alpha", "0.05", "--h", "0.1", "--baseline-alpha", "0.01"], 0.05, 0.01),
+        (["simulate", "--alpha", "0.06"], 0.06, 0.05),
+        (["simulate", "--baseline-alpha", "0.01"], 0.05, 0.01),
+    ])
+    def test_cutoff_above_baseline_names_alpha(self, capsys, argv, alpha, baseline):
+        assert run(capsys, *argv) == (3, "", f"error: alpha={alpha} > baseline_alpha={baseline}\n")
+
     @pytest.mark.parametrize("command", ["rates", "simulate"])
     @pytest.mark.parametrize("power", ["nan", "inf", "2", "-1"])
     def test_power_out_of_range_names_power(self, capsys, command, power):
@@ -424,7 +432,7 @@ FLAGS = {
     "reproduce": {"--strict": None},
 }
 #: Names a flag's value goes by in error messages, where they differ from the flag's own.
-FIELDS = {"--alpha": {"alpha", "new_alpha", "cutoff"}, "--prior-odds": {"phi"}, "--n": {"n_tests"}}
+FIELDS = {"--alpha": {"alpha"}, "--prior-odds": {"phi"}, "--n": {"n_tests"}}
 #: `fit --data` files: with strata, with none, with an empty list, and one
 #: that does not exist.
 DATA_FILES = ("replication_split.json", "replication_no_strata.json",

@@ -256,6 +256,10 @@ class TestRRRatio:
     def test_identical_designs_full_persistence(self):
         assert rr_ratio(OLD, OLD, 0.1, 1.0) == pytest.approx(1.0, abs=1e-12)
 
+    def test_zero_old_rate(self):
+        with pytest.raises(DomainError, match="^old replication rate is 0: ratio undefined$"):
+            rr_ratio(NEW, TestDesign(0.05, 1.0, PHI), 0.05, 1.0)
+
     def test_monotone_decreasing_in_psi_and_h(self):
         psis = np.linspace(0.0, 1.0, 11)
         vals = [rr_ratio(NEW, OLD, 0.1, p) for p in psis]

@@ -80,6 +80,8 @@ class TestSoundRates:
             fpr_regime(TestDesign(0.05, 1.0, 0.0))
         with pytest.raises(DomainError, match="no rejections occur"):
             rr_regime(TestDesign(0.05, 1.0, 0.0))
+        with pytest.raises(DomainError, match="^no rejections: rates undefined$"):
+            table_regime(TestDesign(0.05, 1.0, 0.0)).rates()
 
     def test_design_validation(self):
         with pytest.raises(DomainError):
@@ -145,7 +147,7 @@ class TestResolvePsi:
             assert resolve_psi(HackingRegime(0.1, 0.05, psi), 0.05) == 1.0
 
     def test_cutoff_above_baseline(self):
-        with pytest.raises(DomainError, match="new_alpha=0.06 > baseline_alpha=0.05"):
+        with pytest.raises(DomainError, match="^alpha=0.06 > baseline_alpha=0.05$"):
             resolve_psi(HackingRegime(0.1, 0.05), 0.06)
 
     @pytest.mark.parametrize("pi, naive_cdf, message", [

@@ -28,7 +28,7 @@ loaded |= {name.partition(".")[0] for name in sys.modules} & {
 print(json.dumps([code, sorted(loaded)]), file=sys.stderr)
 """
 
-BASE = ["cli", "errors", "rates"]
+BASE = ["cli", "rates"]
 SWEEPS = sorted(BASE + ["sweeps"])
 FIGURES = sorted(SWEEPS + ["svg"])
 

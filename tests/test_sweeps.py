@@ -17,7 +17,7 @@ from phacking import (
     sweep_figure4,
     sweep_figure5,
 )
-from phacking.sweeps import DEFAULT_PHI, SweepResult
+from phacking.sweeps import DEFAULT_PHI, SweepResult, figure_results
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -153,6 +153,11 @@ class TestCrossModuleConsistency:
             assert len(points) == len(set(points))
 
 
+def test_unknown_figure():
+    with pytest.raises(DomainError, match="^unknown figure id 9$"):
+        figure_results(9)
+
+
 class TestRenderErrors:
     def test_heatmap_needs_two_axes(self):
         bad = SweepResult(
@@ -175,3 +180,17 @@ class TestRenderErrors:
         )
         with pytest.raises(DomainError, match="unknown sweep kind 'scatter'"):
             render_svg(bad)
+
+    def test_line_needs_1_to_3_axes(self):
+        with pytest.raises(DomainError, match="^line chart needs 1-3 axes, got 4$"):
+            render_svg(_one_point_line(4))
+
+    def test_single_point_x_axis(self):
+        # the x axis spans no range, and the chart still draws its one series
+        assert render_svg(_one_point_line(1)).count("<polyline") == 1
+
+
+def _one_point_line(n_axes):
+    """A line sweep of one grid point on ``n_axes`` axes."""
+    axes = tuple((f"x{i}", (0.5,)) for i in range(n_axes))
+    return SweepResult("one", "line", axes, ("v",), (((0.5,) * n_axes, (0.3,)),))
