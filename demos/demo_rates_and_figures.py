@@ -9,7 +9,6 @@ from pathlib import Path
 
 from phacking import (
     PAPER_DESIGN,
-    fpr_bound,
     fpr_regime,
     render_csv,
     render_svg,
@@ -34,7 +33,7 @@ for h in (0.05, 0.15):
 
 print("\nEven at modest persistence the improvement fades (h=0.15):")
 for pi in (0.1, 0.25, 0.5, 1.0):
-    print(f"  pi={pi:4}: lower-bound FPR at 0.005 is {fpr_bound(new, 0.15, pi):.4f}")
+    print(f"  pi={pi:4}: lower-bound FPR at 0.005 is {fpr_regime(new, 0.15, pi):.4f}")
 
 print("\nThe proportion table behind the h=0.15, psi=0.5 scenario:")
 table = table_regime(new, 0.15, 0.5)

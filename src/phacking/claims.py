@@ -70,7 +70,7 @@ CLAIMS = (
     Claim("doubling threshold at h=0.15: derived root vs figure-read 0.35 (documented gap)",
           lambda: _doubling_psi(0.15), 0.35, 0.02, info=True),
     Claim("bound FPR at pi=0.25, h=0.15 exceeds 0.20",
-          lambda: float(rates.fpr_bound(PAPER_DESIGN.with_alpha(0.005), 0.15, 0.25) > 0.20),
+          lambda: float(rates.fpr_regime(PAPER_DESIGN.with_alpha(0.005), 0.15, 0.25) > 0.20),
           1.0, 0.0),
 )
 

@@ -90,20 +90,22 @@ def fit_h(data: ReplicationData, design: TestDesign) -> float:
     )
 
 
-def _h_root(rate: float, fp: float, tp: float) -> float | None:
-    """The h in (0, 1) at which tp(1-h) / ((fp+tp)(1-h) + h) = rate, or None.
+def _h_root(rate: float, fp: float, tp: float, share: float = 1) -> float | None:
+    """The h in (0, 1) at which ``_stratum_rate(fp, tp, share, h)`` = rate, or None.
 
-    Cross-multiplying gives K(1-h) = rate*h with K = tp - rate*(fp+tp), so
-    h = K / (K + rate), which lies in (0, 1) exactly when rate > 0 and K > 0.
+    Cross-multiplying gives K(1-h) = rate*share*h with K = tp - rate*(fp+tp),
+    so h = K / (K + rate*share), in (0, 1) exactly when rate*share > 0 and
+    K > 0; a root within rounding of 1 is the largest float below 1.
     """
     k = tp - rate * (fp + tp)
-    return k / (k + rate) if rate > 0.0 and k > 0.0 else None
+    pull = rate * share
+    return min(k / (k + pull), 1.0 - 2.0**-53) if pull > 0 and k > 0 else None
 
 
 def _stratum_split(design: TestDesign, stratum: ReplicationStratum) -> tuple[float, float, float]:
     """(false-positive, true-positive) mass of the significant sound
     P-values that fall in the stratum, with no hacking, and the share of
-    hacked P-values it holds under threshold clustering.
+    the hacked P-values it holds under threshold clustering.
 
     Only the part of the stratum below the cutoff counts.  True-null
     sound P-values are uniform on [0, alpha]; false-null sound P-values
@@ -123,19 +125,17 @@ def _stratum_split(design: TestDesign, stratum: ReplicationStratum) -> tuple[flo
         return power_at_new_cutoff(power, a, x)
 
     lo, hi = min(stratum.p_low, a), min(stratum.p_high, a)
-    hacked = 1.0 if stratum.p_low < a <= stratum.p_high else 0.0
-    return design.phi * (hi - lo), (1.0 - design.phi) * (cdf(hi) - cdf(lo)), hacked
+    share = 1.0 if stratum.p_low < a <= stratum.p_high else 0.0
+    return design.phi * (hi - lo), (1.0 - design.phi) * (cdf(hi) - cdf(lo)), share
 
 
-def _clustered_stratum_rate(design: TestDesign, stratum: ReplicationStratum,
-                            h: float) -> float | None:
-    """Predicted replication rate inside one stratum when all hacked
-    P-values cluster just below the operative threshold; None when the
-    stratum predicts no significant P-value."""
-    fp, tp, hacked = _stratum_split(design, stratum)
+def _stratum_rate(fp: float, tp: float, share: float, h: float) -> float | None:
+    """Replication rate of a stratum with no-hacking masses (fp, tp) and
+    share ``share`` of the hacked P-values, summed as ``masses`` sums;
+    None when the stratum predicts no significant P-value."""
     sound = 1.0 - h
-    den = (tp + fp) * sound + hacked * h
-    return tp * sound / den if den != 0.0 else None
+    fp, tp = fp * sound + share * h, tp * sound
+    return tp / (fp + tp) if fp + tp != 0.0 else None
 
 
 def fit_h_stratified(
@@ -161,30 +161,30 @@ def fit_h_stratified(
       or above it predicts nothing, so neither yields a root (flagged in
       residuals, with ``fitted`` None for the empty stratum).
 
-    Under either model a stratum's rate is tp(1-h) / ((fp+tp)(1-h) +
-    hacked*h), so when the stratum holds the hacked P-values (hacked = 1)
-    ``_h_root`` of its masses is its root; otherwise its rate does not
-    move with h and it has none.
+    Under either model a stratum's rate is ``_stratum_rate`` of its
+    no-hacking masses and its share of the hacked P-values (1 under
+    ``per_stratum_rate``), and ``_h_root`` of the same three values is its
+    root; a stratum with share 0 has none, as its rate does not move with h.
     """
-    if model not in ("per_stratum_rate", "threshold_clustering"):
+    split = {"per_stratum_rate": lambda design, stratum: (*masses(design), 1.0),
+             "threshold_clustering": _stratum_split}.get(model)
+    if split is None:
         raise DomainError(f"unknown stratum model {model!r}")
     if not data.strata:
         raise DomainError("stratified fit requires strata")
     point = fit_h(data, design)
-    clustered = model == "threshold_clustering"
     roots = []
     residuals = []
     for stratum in data.strata:
-        fp, tp, hacked = _stratum_split(design, stratum) if clustered else (*masses(design), 1.0)
-        root = _h_root(stratum.rate, fp, tp) if hacked else None
+        root = _h_root(stratum.rate, *split(design, stratum))
         if root is not None:
             roots.append(root)
-        h = 0.0 if root is None else root
         residuals.append({
             "p_range": (stratum.p_low, stratum.p_high),
             "observed": stratum.rate,
             "root": root,
-            "fitted": _clustered_stratum_rate(design, stratum, h) if clustered else rr_regime(design, h),
+            # split again, not kept from the root: keeping it raised fits peak RSS past its bound
+            "fitted": _stratum_rate(*split(design, stratum), 0.0 if root is None else root),
             "no_root": root is None,
         })
     if not roots:
@@ -218,12 +218,11 @@ def solve_psi_for_rr_ratio(
     def gap(psi):
         return rr_ratio(design_new, design_old, h, psi) - target_ratio
 
-    at0, at1 = gap(0.0), gap(1.0)
-    for boundary, value in ((0.0, at0), (1.0, at1)):
-        if value == 0.0:
-            return PsiSolution(boundary, True)
-    if at0 < 0.0 or at1 > 0.0:
-        return PsiSolution(0.0 if at0 < 0.0 else 1.0, False)
+    at0, at1 = gap(0.0), gap(1.0)  # at1 <= at0: the ratio never rises with psi
+    if at0 <= 0.0:
+        return PsiSolution(0.0, at0 == 0.0)
+    if at1 >= 0.0:
+        return PsiSolution(1.0, at1 == 0.0)
     # rr_regime = tp / (c + h*psi + tp) = target * rr_old, solved for psi
     c, tp = masses(design_new, h, 0.0)
     psi = (tp / (target_ratio * rr_regime(design_old, h)) - (c + tp)) / h

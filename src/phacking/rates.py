@@ -237,13 +237,6 @@ def rr_ratio(design_new: TestDesign, design_old: TestDesign, h: float, psi: floa
     return rr_regime(design_new, h, psi) / old
 
 
-def fpr_bound(design_new: TestDesign, h: float, pi: float) -> float:
-    """Conservative lower bound on the regime-change FPR, obtained by
-    substituting the persistence parameter pi for the resolved psi
-    (resolved psi >= pi, and fpr_regime is increasing in psi)."""
-    return fpr_regime(design_new, h, pi)
-
-
 def table_regime(design: TestDesign, h: float = 0.0, psi: float = 1.0) -> OutcomeTable:
     """Proportion table under hacking with persistence ``psi`` at the
     operative cutoff ``design.alpha``.

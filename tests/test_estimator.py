@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -7,6 +9,7 @@ from phacking import (
     PSYCH_REP,
     DomainError,
     NoRootError,
+    PsiSolution,
     ReplicationData,
     ReplicationStratum,
     TestDesign,
@@ -17,7 +20,7 @@ from phacking import (
     rr_regime,
     solve_psi_for_rr_ratio,
 )
-from phacking.estimator import _h_root, _stratum_split
+from phacking.estimator import _h_root, _stratum_rate, _stratum_split
 
 PHI = 10.0 / 11.0
 OLD = TestDesign(0.05, 0.20, PHI)
@@ -54,27 +57,37 @@ class TestFitH:
         assert _h_root(rr_regime(OLD, 0.15), *masses(OLD)) == pytest.approx(0.15, abs=1e-9)
 
     def test_no_root_conditions(self):
-        with pytest.raises(NoRootError):
+        with pytest.raises(NoRootError, match=r"observed rate 0\.0 <= 0"):
             fit_h(ReplicationData(total=10, replicated=0), OLD)
-        with pytest.raises(NoRootError):
+        with pytest.raises(NoRootError, match=r">= no-hacking prediction 0\.615385"):
             fit_h(ReplicationData(total=10, replicated=10), OLD)
 
+    def test_root_within_rounding_of_one(self):
+        # 1 replication in 10**18 puts the root within rounding of 1, outside h's domain
+        assert fit_h(ReplicationData(total=10**18, replicated=1), OLD) == 1.0 - 2.0**-53
+
     @settings(max_examples=500, deadline=None)
-    @given(design=DESIGNS, h0=st.floats(0.0, 1.0, exclude_max=True))
-    def test_round_trip_property(self, design, h0):
-        # the h root shared by every fit inverts rr_regime wherever it moves with h
+    @given(design=DESIGNS, h0=st.floats(0.0, 1.0, exclude_max=True), share=st.floats(0.0, 1.0))
+    def test_round_trip_property(self, design, h0, share):
+        # the one h root inverts the one forward wherever the rate moves with h
         assume(live_masses(design) is not None)
         fp, tp = masses(design)
-        rate = rr_regime(design, h0)
-        root = _h_root(rate, fp, tp)
-        if tp == 0.0:
-            assert root is None  # rate 0: no h fits
+        assert _stratum_rate(fp, tp, 1, h0) == rr_regime(design, h0)
+        rate = _stratum_rate(fp, tp, share, h0)
+        root = _h_root(rate, fp, tp, share) if rate is not None else None
+        if share == 0.0 or tp == 0.0:
+            assert root is None  # rate flat in h, or 0: no h fits
             return
         if root is None:
-            assert h0 <= 1e-8  # rate within rounding of its h = 0 value
+            assert share * h0 <= 1e-8  # rate within rounding of its h = 0 value
             return
-        assert root == pytest.approx(h0, abs=1e-8)
-        assert abs(rr_regime(design, root) - rate) <= 1e-9
+        # Just below h = 1 a small share makes the rate so steep in h that one
+        # float step of h moves it by more than 1e-9; the root is then within
+        # two steps of h0.
+        fitted = _stratum_rate(fp, tp, share, root)
+        assert abs(fitted - rate) <= 1e-9 or abs(root - h0) <= 2 * math.ulp(h0)
+        if share == 1.0:
+            assert root == pytest.approx(h0, abs=1e-8)
 
     @settings(max_examples=500, deadline=None)
     @given(design=DESIGNS, counts=st.integers(1, 10**6).flatmap(
@@ -285,6 +298,10 @@ class TestSolvePsi:
         sol = solve_psi_for_rr_ratio(1.0, OLD, OLD, 0.3)
         assert sol.achievable
         assert sol.psi == 1.0
+
+    def test_target_at_zero_persistence(self):
+        target = rr_ratio(NEW, OLD, 0.05, 0.0)
+        assert solve_psi_for_rr_ratio(target, NEW, OLD, 0.05) == PsiSolution(0.0, True)
 
     @settings(max_examples=500, deadline=None)
     @given(new=DESIGNS, old=DESIGNS, h=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),

@@ -13,7 +13,6 @@ from phacking import (
     HackingRegime,
     Rates,
     TestDesign,
-    fpr_bound,
     fpr_regime,
     interpolated_psi,
     masses,
@@ -215,12 +214,11 @@ class TestRegimeRates:
         for _ in range(200):
             pi, q, h = rng.uniform(0, 1), rng.uniform(0, 1), rng.uniform(0.01, 0.9)
             psi = resolve_psi(HackingRegime(h, 0.05, interpolated_psi(pi, q)), 0.005)
-            assert fpr_regime(NEW, h, psi) >= fpr_bound(NEW, h, pi) - 1e-15
+            assert fpr_regime(NEW, h, psi) >= fpr_regime(NEW, h, pi) - 1e-15
 
     def test_bound_examples(self):
-        assert fpr_bound(NEW, 0.15, 1.0) == pytest.approx(fpr_regime(NEW, 0.15, 1.0), abs=1e-15)
-        assert fpr_bound(NEW, 0.05, 0.0) == pytest.approx(0.0588, abs=5e-4)
-        assert fpr_bound(NEW, 0.0, 0.7) == pytest.approx(fpr_regime(NEW), abs=1e-15)
+        assert fpr_regime(NEW, 0.05, 0.0) == pytest.approx(0.0588, abs=5e-4)
+        assert fpr_regime(NEW, 0.0, 0.7) == pytest.approx(fpr_regime(NEW), abs=1e-15)
 
 
 class TestOutcomeTable:
@@ -262,7 +260,7 @@ class TestOutcomeTable:
             assert rates_from_cells.rr == pytest.approx(rr_regime(design, h, psi), abs=1e-12)
 
     def test_rates_complementarity_enforced(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"fpr \+ rr = 0\.8999999999999999 != 1"):
             Rates(fpr=0.3, rr=0.6)
 
 
@@ -353,3 +351,7 @@ class TestPowerTransfer:
             power_at_new_cutoff(0.8, 0.05, 0.0)
         with pytest.raises(DomainError):
             power_at_new_cutoff(0.8, 0.005, 0.05)
+        with pytest.raises(DomainError):
+            normal_shift_delta(0.0, 0.05)
+        with pytest.raises(DomainError):
+            normal_shift_delta(0.8, 0.0)

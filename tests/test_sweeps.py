@@ -6,7 +6,6 @@ import pytest
 from phacking import (
     DomainError,
     TestDesign,
-    fpr_bound,
     fpr_regime,
     render_csv,
     render_svg,
@@ -141,7 +140,7 @@ class TestCrossModuleConsistency:
             power, psi = point
             assert value == rr_ratio(TestDesign(0.005, 1 - power, DEFAULT_PHI), old, 0.15, psi)
         for point, (value,) in rng.sample(list(sweep_figure3(0.05).rows), 30):
-            assert value == fpr_bound(TestDesign(0.005, 0.20, DEFAULT_PHI), 0.05, point[0])
+            assert value == fpr_regime(TestDesign(0.005, 0.20, DEFAULT_PHI), 0.05, point[0])
         for point, (fpr, rr) in rng.sample(list(sweep_figure2().rows), 30):
             alpha, power = point
             design = TestDesign(alpha, 1 - power, DEFAULT_PHI)
