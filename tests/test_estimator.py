@@ -72,7 +72,16 @@ class TestFitH:
         # the one h root inverts the one forward wherever the rate moves with h
         assume(live_masses(design) is not None)
         fp, tp = masses(design)
-        assert _stratum_rate(fp, tp, 1, h0) == rr_regime(design, h0)
+        rate1 = rr_regime(design, h0)
+        assert _stratum_rate(fp, tp, 1, h0) == rate1
+        root1 = _h_root(rate1, fp, tp)
+        if tp == 0.0:
+            assert root1 is None  # rate 0: no h fits
+        elif root1 is None:
+            assert h0 <= 1e-8  # rate within rounding of its h = 0 value
+        else:
+            assert root1 == pytest.approx(h0, abs=1e-8)
+            assert abs(rr_regime(design, root1) - rate1) <= 1e-9
         rate = _stratum_rate(fp, tp, share, h0)
         root = _h_root(rate, fp, tp, share) if rate is not None else None
         if share == 0.0 or tp == 0.0:
@@ -81,13 +90,14 @@ class TestFitH:
         if root is None:
             assert share * h0 <= 1e-8  # rate within rounding of its h = 0 value
             return
-        # Just below h = 1 a small share makes the rate so steep in h that one
-        # float step of h moves it by more than 1e-9; the root is then within
-        # two steps of h0.
         fitted = _stratum_rate(fp, tp, share, root)
-        assert abs(fitted - rate) <= 1e-9 or abs(root - h0) <= 2 * math.ulp(h0)
-        if share == 1.0:
-            assert root == pytest.approx(h0, abs=1e-8)
+        if share < 1.0:
+            # Just below h = 1 a small share makes the rate so steep in h that
+            # one float step of h moves it by more than 1e-9; the root is then
+            # within two steps of h0.
+            assert abs(fitted - rate) <= 1e-9 or abs(root - h0) <= 2 * math.ulp(h0)
+        else:
+            assert abs(fitted - rate) <= 1e-9
 
     @settings(max_examples=500, deadline=None)
     @given(design=DESIGNS, counts=st.integers(1, 10**6).flatmap(
