@@ -7,8 +7,7 @@ P < 0.005 and 12/50 for 0.005 < P < 0.05) ship as ``PSYCH_REP``.
 
 from collections import namedtuple
 
-from .rates import (DomainError, NoRootError, TestDesign, masses, power_at_new_cutoff, rr_ratio,
-                    rr_regime)
+from .rates import DomainError, NoRootError, TestDesign, masses, power_at_new_cutoff, rr_old
 
 class ReplicationStratum(namedtuple("ReplicationStratum", "p_low p_high total replicated")):
     __slots__ = ()
@@ -203,28 +202,24 @@ def solve_psi_for_rr_ratio(
     design_old: TestDesign,
     h: float,
 ) -> PsiSolution:
-    """Persistence at which the replication-rate ratio equals
-    ``target_ratio``.
+    """Persistence at which the replication-rate ratio equals ``target_ratio``.
 
     The ratio is linear-fractional and strictly decreasing in psi (for
     h > 0), so the root is unique and closed-form.  When the target lies
     outside the attainable range the nearest boundary is returned with
-    ``achievable=False``.
+    ``achievable=False``.  Each design's masses are evaluated once.
     """
     if not target_ratio > 0.0:  # also rejects NaN
         raise DomainError(f"target_ratio={target_ratio} must be positive")
     if h <= 0.0:
         raise DomainError("solve requires h > 0 (psi has no effect at h = 0)")
-
-    def gap(psi):
-        return rr_ratio(design_new, design_old, h, psi) - target_ratio
-
-    at0, at1 = gap(0.0), gap(1.0)  # at1 <= at0: the ratio never rises with psi
+    old = rr_old(design_old, h)
+    c, tp = masses(design_new, h, 0.0)  # ratio at psi: tp / (c + h*psi + tp) / old, as masses sums
+    at0 = tp / (c + tp) / old - target_ratio
     if at0 <= 0.0:
         return PsiSolution(0.0, at0 == 0.0)
+    at1 = tp / (c + h + tp) / old - target_ratio  # at1 <= at0: the ratio never rises with psi
     if at1 >= 0.0:
         return PsiSolution(1.0, at1 == 0.0)
-    # rr_regime = tp / (c + h*psi + tp) = target * rr_old, solved for psi
-    c, tp = masses(design_new, h, 0.0)
-    psi = (tp / (target_ratio * rr_regime(design_old, h)) - (c + tp)) / h
+    psi = (tp / (target_ratio * old) - (c + tp)) / h
     return PsiSolution(min(max(psi, 0.0), 1.0), True)

@@ -228,12 +228,17 @@ def rr_regime(design: TestDesign, h: float = 0.0, psi: float = 1.0) -> float:
     return tp / (fp + tp)
 
 
-def rr_ratio(design_new: TestDesign, design_old: TestDesign, h: float, psi: float) -> float:
-    """Replication rate under the new cutoff relative to the hacked
-    replication rate under the old cutoff."""
+def rr_old(design_old: TestDesign, h: float) -> float:
+    """Hacked replication rate under the old cutoff, the ratio's denominator; DomainError at 0."""
     old = rr_regime(design_old, h)
     if old == 0.0:
         raise DomainError("old replication rate is 0: ratio undefined")
+    return old
+
+
+def rr_ratio(design_new: TestDesign, design_old: TestDesign, h: float, psi: float) -> float:
+    """Replication rate under the new cutoff relative to ``rr_old``."""
+    old = rr_old(design_old, h)
     return rr_regime(design_new, h, psi) / old
 
 

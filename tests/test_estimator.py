@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -294,6 +295,29 @@ class TestRRRatio:
         assert all(a > b for a, b in zip(vals, vals[1:]))
 
 
+def reference_solve(target, new, old, h):
+    """The solve written over ``rr_ratio``: its gap at psi = 0 and at psi = 1, then the root."""
+    def gap(psi):
+        return rr_ratio(new, old, h, psi) - target
+
+    at0, at1 = gap(0.0), gap(1.0)
+    if at0 <= 0.0:
+        return PsiSolution(0.0, at0 == 0.0)
+    if at1 >= 0.0:
+        return PsiSolution(1.0, at1 == 0.0)
+    c, tp = masses(new, h, 0.0)
+    psi = (tp / (target * rr_regime(old, h)) - (c + tp)) / h
+    return PsiSolution(min(max(psi, 0.0), 1.0), True)
+
+
+def outcome(solve, *args):
+    """The repr of the solution, which tells every float apart (-0.0 too), or the error."""
+    try:
+        return repr(solve(*args))
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
 class TestSolvePsi:
     def test_doubling_thresholds(self):
         sol = solve_psi_for_rr_ratio(2.0, NEW, OLD, 0.05)
@@ -328,6 +352,35 @@ class TestSolvePsi:
         else:
             # only when rounding puts the target past the ratio at the boundary
             assert rr_ratio(new, old, h, sol.psi) == pytest.approx(target, rel=1e-12)
+
+    @settings(max_examples=1000, deadline=None)
+    @given(new=DESIGNS, old=DESIGNS, h=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+           at=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0), st.none()),
+           target=st.floats(0.0, 10.0, exclude_min=True))
+    def test_matches_rr_ratio_reference(self, new, old, h, at, target):
+        # the target is the exact ratio at psi = `at`, or a random one; at psi = 0 or 1 it
+        # meets the boundary ties, such as (1.0, True), which must match bit for bit too
+        if at is not None:
+            try:
+                target = rr_ratio(new, old, h, at)
+            except DomainError:
+                pass
+        assume(target > 0.0)
+        assert outcome(solve_psi_for_rr_ratio, target, new, old, h) == outcome(
+            reference_solve, target, new, old, h)
+
+    @pytest.mark.parametrize("new, old, h, message", [
+        (NEW, TestDesign(0.05, 1.0, PHI), 0.05, "old replication rate is 0: ratio undefined"),
+        # the new design rejects nothing at psi = 0, but the old design's error comes first
+        (TestDesign(0.005, 1.0, 0.0), TestDesign(0.05, 1.0, PHI), 0.05,
+         "old replication rate is 0: ratio undefined"),
+        (NEW, OLD, 1.0, "h=1.0 outside [0.0, 1.0)"),
+        (NEW, TestDesign(0.05, 1.0, PHI), 1.0, "h=1.0 outside [0.0, 1.0)"),
+    ], ids=["zero-old-rate", "zero-old-rate-first", "h-1", "h-1-first"])
+    def test_errors_in_order(self, new, old, h, message):
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            solve_psi_for_rr_ratio(2.0, new, old, h)
+        assert outcome(reference_solve, 2.0, new, old, h) == f"DomainError: {message}"
 
     def test_unachievable_boundaries(self):
         too_high = rr_ratio(NEW, OLD, 0.05, 0.0) * 2.0
