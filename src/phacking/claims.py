@@ -16,7 +16,7 @@ class Claim(namedtuple("Claim", "label compute want tol info", defaults=(False,)
     __slots__ = ()
 
 
-_NEW_50 = rates.TestDesign(0.005, 0.50, rates.DEFAULT_PHI)
+_NEW_50 = rates.TestDesign(0.005, 0.50, PAPER_DESIGN.phi)
 
 
 def _fpr_claim(alpha: float, h: float, want: float) -> Claim:

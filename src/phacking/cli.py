@@ -4,8 +4,8 @@ Subcommands: ``rates``, ``fit``, ``sweep``, ``simulate``, ``reproduce``.
 Exit codes: 0 success, 1 reproduction failure, 2 usage error, 3
 domain/math error or an output path, standard output included, that
 cannot be written.  Each subcommand imports the modules it runs when it
-runs.  The ``PHACKING_OUT_DIR`` environment variable sets the default output
-directory for file-writing subcommands.
+runs.  An omitted design flag takes its value from ``rates.PAPER_DESIGN``,
+and ``--out`` defaults to the current directory.
 
 ``--pi X`` is the persistence ``rates.interpolated_psi(X)``, the
 conservative bound psi = X, so it resolves as ``--psi X`` does.
@@ -46,40 +46,39 @@ def _parse_prior_odds(text: str) -> float:
 
 
 def _add_design_flags(parser):
-    parser.add_argument("--alpha", type=float, default=0.05,
+    parser.add_argument("--alpha", type=float, default=rates.PAPER_DESIGN.alpha,
                         help="operative significance cutoff (default %(default)s)")
     g = parser.add_mutually_exclusive_group()
     g.add_argument("--beta", type=float, help="Type-II error rate at the cutoff")
-    g.add_argument("--power", type=float, help="power at the cutoff (default 0.8)")
+    g.add_argument("--power", type=float, default=rates.PAPER_DESIGN.power,
+                   help="power at the cutoff (default 0.8)")
     g = parser.add_mutually_exclusive_group()
-    g.add_argument("--phi", type=float, help="proportion of true nulls")
-    g.add_argument("--prior-odds", type=_parse_prior_odds, metavar="A:B",
+    g.add_argument("--phi", type=float, default=rates.PAPER_DESIGN.phi,
+                   help="proportion of true nulls")
+    g.add_argument("--prior-odds", type=_parse_prior_odds, dest="phi", metavar="A:B",
                    help="odds in favor of H1 (default 1:10)")
 
 
 def _add_hacking_flags(parser):
     parser.add_argument("--h", type=float, default=0.0, help="hacking rate (default 0)")
     g = parser.add_mutually_exclusive_group()
-    g.add_argument("--psi", type=float, help="persistence at the cutoff (default 1)")
+    g.add_argument("--psi", type=float, default=1.0, help="persistence at the cutoff (default 1)")
     g.add_argument("--pi", type=float,
                    help="persistence parameter; uses the conservative bound psi = pi")
-    parser.add_argument("--baseline-alpha", type=float, default=0.05,
+    parser.add_argument("--baseline-alpha", type=float, default=rates.PAPER_DESIGN.alpha,
                         help="baseline cutoff at which all hacked P-values are "
                              "significant (default %(default)s)")
 
 
 def _design_from(args) -> rates.TestDesign:
-    if args.power is not None:
-        rates._check_prob("power", args.power)  # before 1 - power turns it into a beta
-    beta = args.beta if args.beta is not None else 1.0 - (args.power if args.power is not None else 0.8)
-    phi = args.phi if args.phi is not None else (args.prior_odds if args.prior_odds is not None else rates.DEFAULT_PHI)
-    return rates.TestDesign(args.alpha, beta, phi)
+    rates._check_prob("power", args.power)  # before 1 - power turns it into a beta
+    beta = 1.0 - args.power if args.beta is None else args.beta
+    return rates.TestDesign(args.alpha, beta, args.phi)
 
 
 def _regime_from(args) -> rates.HackingRegime:
     return rates.HackingRegime(args.h, args.baseline_alpha,
-                               rates.interpolated_psi(args.pi) if args.pi is not None
-                               else 1.0 if args.psi is None else args.psi)
+                               args.psi if args.pi is None else rates.interpolated_psi(args.pi))
 
 
 def _figure_id(text: str) -> int:
@@ -92,8 +91,7 @@ def _figure_id(text: str) -> int:
 
 
 def _out_dir(args) -> Path:
-    out = args.out or os.environ.get("PHACKING_OUT_DIR") or "."
-    path = Path(out)
+    path = Path(args.out)
     try:
         path.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -159,7 +157,7 @@ def _read_replication(path: Path, stratified: bool):
         doc = json.loads(path.read_text())
     except OSError as exc:
         raise ModelError(f"cannot read {path}: {exc.strerror or exc}")
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ModelError(f"{path} is not valid JSON: {exc}")
     total, replicated = (_field(path, doc, "top level", key, int) for key in ("total", "replicated"))
     strata = []
@@ -288,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     # tests/test_cli.py checks both against sweeps.FIGURES.
     p.add_argument("--figure", type=_figure_id, required=True, help="figure id: 1, 2, 3, 4, 5")
     p.add_argument("--h", type=float, help="hacking rate for figures 3 and 5")
-    p.add_argument("--out", help="output directory")
+    p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--svg", action="store_true", help="also write SVG files")
     p.set_defaults(func=cmd_sweep)
 
@@ -300,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("reproduce", help="write all figures and check the headline numbers")
-    p.add_argument("--out", help="output directory")
+    p.add_argument("--out", default=".", help="output directory")
     p.add_argument("--strict", action="store_true",
                    help="check the documented-gap INFO entries like the other claims, "
                         "as PASS or FAIL")

@@ -41,9 +41,6 @@ class NoRootError(ModelError):
 #: the source reports two decimals.
 IDENTITY_ATOL = 1e-12
 
-#: phi for prior odds 1:10 in favor of H1, the paper's default.
-DEFAULT_PHI = 10.0 / 11.0
-
 
 def _check_prob(name, value, *, open_lo=False, open_hi=False):
     if not (0.0 <= value <= 1.0) or (open_lo and value == 0.0) or (open_hi and value == 1.0):
@@ -77,7 +74,7 @@ class TestDesign(namedtuple("TestDesign", "alpha beta phi")):
 
 
 #: Benjamin et al.'s (2017) design, the paper's reference: cutoff 0.05, power 0.80, odds 1:10.
-PAPER_DESIGN = TestDesign(0.05, 0.2, DEFAULT_PHI)
+PAPER_DESIGN = TestDesign(0.05, 0.2, 10.0 / 11.0)
 
 
 def interpolated_psi(pi: float, naive_cdf: float = 0.0) -> float:

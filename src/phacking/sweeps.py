@@ -9,8 +9,7 @@ canonical artifact; :func:`phacking.svg.render_svg` draws a derived view.
 import itertools
 from collections import namedtuple
 
-from .rates import (DEFAULT_PHI, PAPER_DESIGN, DomainError, TestDesign, fpr_regime, rr_ratio,
-                    rr_regime)
+from .rates import PAPER_DESIGN, DomainError, TestDesign, fpr_regime, rr_ratio, rr_regime
 
 _POWER_FINE = tuple(round(0.05 + 0.01 * i, 2) for i in range(95))  # 0.05 .. 0.99
 _POWER_COARSE = tuple(round(0.05 * i, 2) for i in range(1, 20))  # 0.05 .. 0.95
@@ -38,7 +37,7 @@ def _sweep(figure_id, kind, axes, columns, cell, references=()) -> SweepResult:
 
 
 def _design(alpha: float, power: float) -> TestDesign:
-    return TestDesign(alpha, 1.0 - power, DEFAULT_PHI)
+    return TestDesign(alpha, 1.0 - power, PAPER_DESIGN.phi)
 
 
 def sweep_figure1() -> SweepResult:

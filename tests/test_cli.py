@@ -67,6 +67,8 @@ class TestRates:
         assert code == 2
         code, _, _ = run(capsys, "rates", "--psi", "1", "--pi", "0.5")
         assert code == 2
+        code, _, _ = run(capsys, "rates", "--phi", "0.5", "--prior-odds", "1:4")
+        assert code == 2
 
     def test_pi_is_its_lower_bound(self, capsys):
         by_pi = run(capsys, "rates", "--alpha", "0.005", "--h", "0.1", "--pi", "0.3")
@@ -181,6 +183,7 @@ class TestFit:
     @pytest.mark.parametrize("content, detail", [
         (None, "cannot read"),
         ('{"total": 97, "replicated": 36', "is not valid JSON"),
+        ("[" * 100_000, "is not valid JSON"),
         ('{"total": 97}', "missing key 'replicated' in top level"),
         ('{"total": "97", "replicated": 36}', "key 'total' in top level has type str"),
         ('[97, 36]', "top level is not a JSON object"),
@@ -193,7 +196,7 @@ class TestFit:
          '"replicated": 0}, {"p_low": 0.005, "p_high": 0.005, "total": 1, "replicated": 0}]}',
          ": strata[1]: bad P-value range (0.005, 0.005)"),
         ('{"total": 5, "replicated": 6}', ": top level: bad counts 6/5"),
-    ], ids=["missing-file", "invalid-json", "missing-key", "wrong-type", "not-an-object",
+    ], ids=["missing-file", "invalid-json", "deep-json", "missing-key", "wrong-type", "not-an-object",
             "float-count", "bool-count", "zero-total", "empty-p-range", "replicated-above-total"])
     def test_bad_data_file_exit_3(self, capsys, tmp_path, content, detail):
         path = tmp_path / "data.json"
@@ -338,12 +341,6 @@ class TestReproduce:
         code, out, _ = run(capsys, "reproduce", "--out", str(tmp_path), "--strict")
         assert code == 1
         assert "FAIL" in out
-
-    def test_env_var_out_dir(self, capsys, tmp_path, monkeypatch):
-        monkeypatch.setenv("PHACKING_OUT_DIR", str(tmp_path / "envout"))
-        code, _, _ = run(capsys, "reproduce")
-        assert code == 0
-        assert (tmp_path / "envout" / "figure1.csv").exists()
 
     def test_report_matches_golden(self, capsys, tmp_path):
         # Pins every label, computed value, reference and tolerance apart

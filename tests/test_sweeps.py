@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 from phacking import (
+    PAPER_DESIGN,
     DomainError,
     TestDesign,
     fpr_regime,
@@ -16,7 +17,7 @@ from phacking import (
     sweep_figure4,
     sweep_figure5,
 )
-from phacking.sweeps import DEFAULT_PHI, SweepResult, figure_results
+from phacking.sweeps import SweepResult, figure_results
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -132,18 +133,19 @@ class TestFigure5:
 class TestCrossModuleConsistency:
     def test_random_cell_audit(self):
         rng = random.Random(13)
-        old = TestDesign(0.05, 0.20, DEFAULT_PHI)
+        phi = PAPER_DESIGN.phi
+        old = TestDesign(0.05, 0.20, phi)
         for point, (value,) in rng.sample(list(sweep_figure1().rows), 30):
             alpha, h, power = point
-            assert value == fpr_regime(TestDesign(alpha, 1 - power, DEFAULT_PHI), h)
+            assert value == fpr_regime(TestDesign(alpha, 1 - power, phi), h)
         for point, (value, _) in rng.sample(list(sweep_figure5(0.15).rows), 30):
             power, psi = point
-            assert value == rr_ratio(TestDesign(0.005, 1 - power, DEFAULT_PHI), old, 0.15, psi)
+            assert value == rr_ratio(TestDesign(0.005, 1 - power, phi), old, 0.15, psi)
         for point, (value,) in rng.sample(list(sweep_figure3(0.05).rows), 30):
-            assert value == fpr_regime(TestDesign(0.005, 0.20, DEFAULT_PHI), 0.05, point[0])
+            assert value == fpr_regime(TestDesign(0.005, 0.20, phi), 0.05, point[0])
         for point, (fpr, rr) in rng.sample(list(sweep_figure2().rows), 30):
             alpha, power = point
-            design = TestDesign(alpha, 1 - power, DEFAULT_PHI)
+            design = TestDesign(alpha, 1 - power, phi)
             assert fpr == fpr_regime(design)
 
     def test_no_duplicate_points(self):
